@@ -1,14 +1,12 @@
 """Quick verification-throughput smoke benchmark (PR 1 trajectory anchor).
 
-One fullmesh N=25 no-transit safety sweep, discharged three ways:
+One fullmesh N=25 no-transit safety sweep, discharged two ways:
 
 * ``serial`` — the default path: shared :class:`CheckSession` per owner
   router, flattened SAT core;
 * ``jobs2``  — the process backend with two workers (falls back to the
   serial path on hosts without process-pool support, so the number is a
-  lower bound on parallel benefit, never a failure);
-* ``thread`` — the legacy thread pool with a hermetic solver per check,
-  approximating the seed's per-check encoding cost.
+  lower bound on parallel benefit, never a failure).
 
 Run: ``pytest benchmarks/bench_perf_smoke.py --benchmark-only -s``
 
@@ -51,7 +49,6 @@ def _sweep(parallel=None, backend="auto", sessions=None):
     [
         ("serial", None, "auto"),
         ("jobs2", 2, "process"),
-        ("thread", 2, "thread"),
     ],
 )
 def test_perf_smoke_fullmesh(benchmark, mode, parallel, backend):
@@ -82,13 +79,8 @@ def test_perf_smoke_fullmesh(benchmark, mode, parallel, backend):
         "misses": predicates.misses,
         "hit_rate": round(predicates.hit_rate, 4),
     }
-    # Solver warm-start counters (PR 7): shared fragments skipped as
-    # per-check assumptions and learnt clauses retained/imported.  Like
-    # the term caches, these are in-process — the process backend's
-    # per-worker pools keep their own counters, so jobs2 may read 0.
-    session_stats = pool.stats()
-    benchmark.extra_info["solver_reuse"] = {
-        "shared_skips": session_stats["shared_skips"],
-        "learnts_imported": session_stats["learnts_imported"],
-        "learnts_kept": session_stats["learnts_kept"],
-    }
+    # Pre-asserted well-formedness: conjuncts skipped as per-check
+    # assumptions.  In-process like the term caches — the process
+    # backend's per-worker pools keep their own counters, so jobs2 may
+    # read 0.
+    benchmark.extra_info["shared_skips"] = pool.stats()["shared_skips"]

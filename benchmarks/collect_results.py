@@ -452,84 +452,6 @@ def workspace_warm_start(n: int = 25, rounds: int = 2) -> dict:
     }
 
 
-def solver_reuse_microbench(n: int = 50, rounds: int = 3) -> dict:
-    """Solver warm-start (PR 7): per-check solve-time drop and learnt reuse.
-
-    Two measurements:
-
-    1. **Shared-fragment pre-assertion** — the fullmesh N no-transit sweep
-       with solver reuse on vs. off.  With reuse on, each owner session
-       asserts the route's well-formedness once and every check skips it
-       as an assumption; the per-check solve time drops accordingly.
-    2. **Learnt-clause reuse** — the WAN ip-reuse safety family (the
-       workload whose checks actually conflict and learn): a cold pool's
-       learnt export is seeded into a fresh pool, whose stats witness the
-       digest-guarded import.
-    """
-    from repro.core.safety import verify_safety as _verify_safety
-    from repro.smt.solver import set_solver_reuse_enabled
-    from repro.workloads.wan_properties import (
-        verify_ip_reuse_safety_problems as _ip_reuse,
-    )
-
-    solve_times: dict[str, float] = {}
-    num_checks = 0
-    try:
-        for label, enabled in (("reuse_on", True), ("reuse_off", False)):
-            best = None
-            for __ in range(rounds):
-                reset_transfer_cache()
-                set_solver_reuse_enabled(enabled)
-                config, ghost, prop, invariants = fullmesh_problem(n)
-                report = _verify_safety(config, prop, invariants, ghosts=(ghost,))
-                assert report.passed
-                best = (
-                    report.solve_time_s
-                    if best is None
-                    else min(best, report.solve_time_s)
-                )
-            num_checks = report.num_checks
-            solve_times[label] = best
-    finally:
-        set_solver_reuse_enabled(True)
-
-    wan = build_wan(regions=2, routers_per_region=3)
-    cold_pool = SessionPool()
-    for __, report in verify_ip_reuse_safety_problems(wan, sessions=cold_pool):
-        assert report.passed
-    exports = cold_pool.export_learnts()
-    warm_pool = SessionPool()
-    for key, (digest, clauses) in exports.items():
-        warm_pool.seed(key, digest, clauses)
-    for __, report in verify_ip_reuse_safety_problems(wan, sessions=warm_pool):
-        assert report.passed
-    cold_stats = cold_pool.stats()
-    warm_stats = warm_pool.stats()
-
-    return {
-        "workload": (
-            f"fullmesh N={n} no-transit (pre-assertion) + WAN 2x3 ip-reuse "
-            f"safety (learnt export/import)"
-        ),
-        "routers": n,
-        "num_checks": num_checks,
-        "solve_time_s": {k: round(v, 4) for k, v in solve_times.items()},
-        "per_check_solve_us": {
-            k: round(v / num_checks * 1e6, 2) for k, v in solve_times.items()
-        },
-        "solve_speedup": round(
-            solve_times["reuse_off"] / solve_times["reuse_on"], 2
-        ),
-        "shared_skips_per_check": round(
-            cold_stats["shared_skips"] / max(cold_stats["checks_discharged"], 1), 2
-        ),
-        "learnts_exported": sum(len(clauses) for __, clauses in exports.values()),
-        "export_owners": len(exports),
-        "warm_pool_learnts_imported": warm_stats["learnts_imported"],
-        "warm_pool_pending_seeds": warm_stats["pending_seeds"],
-    }
-
-
 def scheduler_overhead_microbench(n: int = 50, rounds: int = 7) -> dict:
     """PR 9: the plan/scheduler layer vs. a hand-rolled serial loop.
 
@@ -541,18 +463,12 @@ def scheduler_overhead_microbench(n: int = 50, rounds: int = 7) -> dict:
     run cold (fresh :class:`SessionPool` per round); the recorded
     ``overhead_fraction`` is flagged as a regression above 5%.
     """
-    from repro.core.checks import (
-        check_owner,
-        generate_safety_checks,
-        group_checks_by_owner,
-        prepare_session,
-    )
+    from repro.core.checks import check_owner, generate_safety_checks, prepare_session
     from repro.core.safety import build_universe, run_checks
 
     def direct_reference(checks, config, universe, ghosts, sessions):
         # The pre-refactor serial path, verbatim: shared per-owner
-        # sessions, group-granular preamble preparation, input order.
-        owner_groups = group_checks_by_owner(checks)
+        # sessions, pre-asserted well-formedness, input order.
         prepared: set[int] = set()
         outcomes = []
         for check in checks:
@@ -560,8 +476,7 @@ def scheduler_overhead_microbench(n: int = 50, rounds: int = 7) -> dict:
             session = sessions.get(owner)
             if id(session) not in prepared:
                 prepared.add(id(session))
-                prepare_session(session, universe, owner_groups[owner])
-                sessions.try_seed(owner, session)
+                prepare_session(session, universe)
             outcomes.append(
                 check.run(config, universe, ghosts, None, session=session)
             )
@@ -891,7 +806,6 @@ def perf_baseline(json_path: str, sizes=(25, 50), rounds: int = 5) -> dict:
     record["liveness"] = liveness_microbench()
     record["liveness_reverify"] = liveness_reverify_microbench()
     record["workspace_cache"] = workspace_warm_start()
-    record["solver_reuse"] = solver_reuse_microbench()
     record["scheduler_overhead"] = scheduler_overhead_microbench()
     record["liveness_pipelining"] = liveness_pipelining_microbench()
     record["lint"] = lint_walltime_microbench()

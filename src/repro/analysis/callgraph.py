@@ -305,7 +305,7 @@ class _FunctionCollector(ast.NodeVisitor):
     def _visit_nested(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         # Nested definitions are folded into the enclosing function: the
         # dispatch idiom wraps the real work in a local closure
-        # (``_run_threaded`` inside ``ThreadBackend.run``), and the
+        # (``_dispatch`` inside ``WorkerPool.run``), and the
         # closure's calls and writes happen whenever the encloser runs
         # it.  Nested parameter annotations join the receiver table
         # (without shadowing the encloser's) so ``check: LocalCheck``

@@ -1,11 +1,10 @@
 """concurrency-discipline: shared mutable state on dispatch paths.
 
-ROADMAP items 3–4 (long-lived daemon, real multi-core) move real work
-onto the concurrent dispatchers — :class:`ThreadBackend`,
-:class:`Scheduler`, :class:`WorkerPool` — and the failure mode is
-already latent in the tree: module-level memo caches
-(``transfer._transfer_cache``, the term interner) mutated from code a
-thread pool may run on several threads at once.  Today the GIL and
+Real work runs on the dispatchers — :class:`Scheduler` and
+:class:`WorkerPool` (whose dispatcher threads feed the workers) — and the
+failure mode is latent wherever they meet shared state: module-level
+memo caches (``transfer._transfer_cache``, the term interner) mutated
+from code that may run on several threads at once.  Today the GIL and
 idempotent values make those benign; the moment one stops being benign
 it corrupts verification results, not a test.
 
@@ -37,7 +36,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, Project, register
 
 #: Class names whose methods run caller-supplied work concurrently.
-DISPATCH_CLASSES = ("ThreadBackend", "Scheduler", "WorkerPool")
+DISPATCH_CLASSES = ("Scheduler", "WorkerPool")
 
 
 def _is_dispatcher(name: str, bases_by_class: dict[str, tuple[str, ...]]) -> bool:
@@ -65,7 +64,7 @@ class ConcurrencyDisciplineChecker(Checker):
     id = "concurrency-discipline"
     description = (
         "mutable module/class state written on a path reachable from the "
-        "concurrent dispatchers (ThreadBackend/Scheduler/WorkerPool) must "
+        "concurrent dispatchers (Scheduler/WorkerPool) must "
         "be lock-guarded or declared in SHARED_STATE"
     )
     version = 1

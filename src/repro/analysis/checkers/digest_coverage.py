@@ -19,8 +19,8 @@ field nobody's digest reads anywhere.
 A class is digest-bearing when it defines a method whose name looks like
 a digest (``digest``/``fingerprint``/``canonical``/``_fp``) *and* that
 method reads at least one public ``self`` attribute — a property
-exposing private solver state (``CheckSession.preamble_digest``) is not
-a content fingerprint of the object's fields.
+hashing only private state is not a content fingerprint of the object's
+fields.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ unpicklable; the pool degraded to serial execution silently and the
 "parallel" benchmark measured the serial path for weeks.
 
 The checker walks the static type graph reachable from the pickle roots
-(the types :class:`repro.core.parallel.WorkerPool` ships in chunk
+(the types :class:`repro.core.exec.WorkerPool` ships in chunk
 payloads and :meth:`repro.core.workspace.Workspace.save` persists) and
 flags, on every reachable class:
 
@@ -37,7 +37,7 @@ import re
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, Project, register
 
-#: Types repro.core.parallel ships in chunk payloads / replies, and
+#: Types WorkerPool ships in chunk payloads / replies, and
 #: types Workspace.save persists (directly or inside tracker state).
 DEFAULT_ROOTS = (
     "LocalCheck",

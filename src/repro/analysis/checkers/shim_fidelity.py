@@ -1,8 +1,7 @@
 """shim-fidelity: a shim must be pure delegation.
 
 The repo keeps old entry points alive while the real implementation
-moves: ``repro.core.parallel`` re-exports the exec backends, the
-``Lightyear`` facade forwards to ``Workspace``, and the
+moves: the ``Lightyear`` facade forwards to ``Workspace``, and the
 ``IncrementalVerifier`` / ``IncrementalLivenessVerifier`` classes wrap
 workspace trackers.  A shim is a *promise* — calling the old name
 behaves exactly like calling the new one — and the promise breaks

@@ -54,7 +54,7 @@ Every subcommand executes through the unified runtime in
 ``CheckPlan``\\ s and one ``Scheduler`` dispatches them on the selected
 backend.  The ``REPRO_BACKEND`` environment variable overrides backend
 selection for ``auto`` runs with no explicit worker pool (CI uses
-``REPRO_BACKEND=thread`` to exercise the non-default backend).
+``REPRO_BACKEND=serial`` to run the suite without worker processes).
 
 Example::
 
@@ -65,6 +65,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,7 +75,6 @@ from repro.bgp.configparse import parse_config
 from repro.core.report import format_report
 from repro.core.workspace import Workspace, WorkspaceCacheMismatch
 from repro.lang.specjson import spec_from_json
-from repro.smt.solver import set_solver_reuse_enabled, solver_reuse_enabled
 
 CACHE_FILENAME = "workspace.lyc"
 
@@ -152,23 +152,23 @@ def _parse_seconds(value: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a number of seconds, got {value!r}"
         ) from None
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive duration, got {value}")
+    if not math.isfinite(seconds) or seconds <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite duration, got {value}"
+        )
     return seconds
 
 
 def _resolve_backend(args: argparse.Namespace) -> tuple[int | str | None, str]:
-    """Map the --jobs/--parallel flags to (parallel, backend), as verify does.
+    """Map the --jobs flag to (parallel, backend).
 
-    With neither flag, the backend stays ``"auto"`` and the execution
+    Without it, the backend stays ``"auto"`` and the execution
     context applies the ``REPRO_BACKEND`` environment override (if any)
     at dispatch time — see :meth:`repro.core.exec.ExecutionContext.
     resolved_backend`.
     """
     if args.jobs is not None:
         return args.jobs, "process"
-    if getattr(args, "parallel", None):
-        return args.parallel, "thread"
     return None, "auto"
 
 
@@ -259,20 +259,7 @@ def _consulted_line(result, label: str = "reverify") -> str:
     )
 
 
-def _apply_solver_reuse_flag(args: argparse.Namespace) -> None:
-    """Honour ``--no-solver-reuse`` before any session or pool exists.
-
-    Sessions snapshot the flag at construction and it rides in the worker
-    context fingerprint, so setting it here switches warm-start end to
-    end: pre-asserted fragments, learnt retention, and cache seeds.  Set
-    unconditionally so repeated in-process ``main()`` calls (tests) do
-    not inherit a previous invocation's flag.
-    """
-    set_solver_reuse_enabled(not getattr(args, "no_solver_reuse", False))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _apply_solver_reuse_flag(args)
     config = _load_config(args.config)
     spec = spec_from_json(Path(args.spec).read_text())
     ghosts = spec.build_ghosts(config.topology)
@@ -335,7 +322,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_reverify(args: argparse.Namespace) -> int:
     from repro.bgp.configdiff import diff_configs
 
-    _apply_solver_reuse_flag(args)
     base = _load_config(args.base)
     edited = _load_config(args.edited)
     problems_found = edited.validate()
@@ -408,19 +394,6 @@ def _cmd_reverify(args: argparse.Namespace) -> int:
             print(_consulted_line(result))
             print()
             reports.append(result.report)
-        if loaded and solver_reuse_enabled():
-            # Warm-start observability: what the cache restored and how
-            # much of it the reverify actually imported (a digest mismatch
-            # after an invasive edit legitimately imports less).
-            imported = workspace.sessions.stats()["learnts_imported"]
-            pool = workspace._worker_pool
-            if pool is not None:
-                imported += pool.learnts_seeded
-            print(
-                f"solver reuse: restored {workspace.restored_learnts} learnt "
-                f"clauses for {workspace.restored_learnt_owners} owners; "
-                f"{imported} imported into sessions"
-            )
     return _reports_exit_code(reports)
 
 
@@ -463,12 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 forces the serial path",
     )
     p_verify.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        help="legacy thread-pool width for checks (prefer --jobs)",
-    )
-    p_verify.add_argument(
         "--budget", type=int, default=None, help="per-check SAT conflict budget"
     )
     p_verify.add_argument(
@@ -494,12 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist the outcome cache in DIR; a later verify/reverify of "
         "the same config+spec loads it instead of re-verifying",
-    )
-    p_verify.add_argument(
-        "--no-solver-reuse",
-        action="store_true",
-        help="disable solver warm-start (shared-fragment pre-assertion and "
-        "learnt-clause reuse); escape hatch for debugging or A/B timing",
     )
     p_verify.add_argument("--verbose", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
@@ -549,12 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist the BASE outcome cache in DIR; later invocations load "
         "it, skip the base run, and consult only the edited owners' checks",
-    )
-    p_rev.add_argument(
-        "--no-solver-reuse",
-        action="store_true",
-        help="disable solver warm-start (shared-fragment pre-assertion and "
-        "learnt-clause reuse), including cache-restored learnt clauses",
     )
     p_rev.add_argument("--verbose", action="store_true")
     p_rev.set_defaults(func=_cmd_reverify)

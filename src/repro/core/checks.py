@@ -320,38 +320,17 @@ def group_checks_by_owner(
     return groups
 
 
-def prepare_session(
-    session: "smt.CheckSession",
-    universe: AttributeUniverse,
-    checks: "list[LocalCheck] | tuple[LocalCheck, ...]" = (),
-) -> None:
-    """Install the warm-start preamble shared by an owner's checks.
+def prepare_session(session: "smt.CheckSession", universe: AttributeUniverse) -> None:
+    """Pre-assert the owner route's well-formedness into ``session``.
 
-    Asserts the symbolic route's well-formedness constraint once into the
-    session's clause DB — every filter and implication check includes it,
-    so it is sound to pre-assert, and each check then skips it as an
-    assumption (originate checks use constant, variable-disjoint routes
-    and are unaffected).  The invariant predicates the checks assume (and,
-    for implications, conclude) are *primed*: Tseitin-encoded without
-    being asserted, enlarging the digested region so learnt clauses over
-    them survive export (:meth:`repro.smt.CheckSession.export_learnts`).
-
-    The preamble depends only on the universe, topology, and invariants —
-    never on a check's transfer-function encoding — so two runs over an
-    unchanged owner produce identical preambles and their digests match.
-    No-op on sessions built with solver reuse disabled.
+    Every filter and implication check includes the symbolic route's
+    well-formedness constraint, so it is sound to assert it once into the
+    session's clause DB; each check then skips it as an assumption
+    (originate checks use constant, variable-disjoint routes and are
+    unaffected).
     """
-    if not session.reuse_enabled:
-        return
     route = SymbolicRoute.fresh("r", universe)
-    prime = []
-    for check in checks:
-        if check.kind is CheckKind.ORIGINATE:
-            continue
-        prime.append(predicate_term(check.assumption, route))
-        if check.kind is CheckKind.IMPLICATION:
-            prime.append(predicate_term(check.goal, route))
-    session.prepare(shared=(route.well_formed(),), prime=prime)
+    session.prepare(shared=(route.well_formed(),))
 
 
 def _merge_stats(a: SolverStats, b: SolverStats) -> SolverStats:

@@ -2,7 +2,7 @@
 
 ``Lightyear`` predates :class:`repro.core.workspace.Workspace`, which
 owns the same substrate (one engine-wide :class:`repro.smt.SessionPool`,
-one persistent :class:`repro.core.parallel.WorkerPool` when the process
+one persistent :class:`repro.core.exec.WorkerPool` when the process
 backend is active) and adds property-polymorphic ``verify``, incremental
 ``apply``/``reverify``, and an on-disk outcome cache.  The facade remains
 so existing callers keep working: every method delegates to an internal

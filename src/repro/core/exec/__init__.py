@@ -9,10 +9,10 @@ a :class:`CheckPlan` and hands it to a :class:`Scheduler` bound to an
   groups (property-agnostic; "full verify", "reverify after edit", and
   "one sub-proof" are all just plans);
 * :mod:`repro.core.exec.scheduler` — *when*: one dispatch loop owning
-  deadlines, budgets, degradation recording, warm-start seed routing,
-  outcome ordering, and cross-stage pipelining;
-* :mod:`repro.core.exec.backends` — *how*: serial sessions, threads, or
-  worker processes (:mod:`repro.core.exec.pool`), behind one protocol.
+  deadlines, budgets, degradation recording, outcome ordering, and
+  cross-stage pipelining;
+* :mod:`repro.core.exec.backends` — *how*: serial sessions or worker
+  processes (:mod:`repro.core.exec.pool`), behind one protocol.
 
 This is the seam a future ``lightyear serve`` daemon (queueing and
 interleaving plans across requests) and host-level owner-sharding (a
@@ -24,7 +24,6 @@ from repro.core.exec.backends import (
     BatchRequest,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.core.exec.context import (
     BACKENDS,
@@ -33,7 +32,7 @@ from repro.core.exec.context import (
     resolve_jobs,
 )
 from repro.core.exec.plan import CheckGroup, CheckPlan, GroupKey, Stage
-from repro.core.exec.pool import WorkerPool, run_checks_in_processes
+from repro.core.exec.pool import WorkerPool, chunk_by_owner, run_checks_in_processes
 from repro.core.exec.scheduler import GroupResult, PlanResult, Scheduler
 
 __all__ = [
@@ -51,8 +50,8 @@ __all__ = [
     "Scheduler",
     "SerialBackend",
     "Stage",
-    "ThreadBackend",
     "WorkerPool",
+    "chunk_by_owner",
     "resolve_jobs",
     "run_checks_in_processes",
 ]

@@ -2,15 +2,12 @@
 
 A :class:`Backend` turns a :class:`BatchRequest` — the flattened checks
 of the groups a :class:`~repro.core.exec.scheduler.Scheduler` round found
-ready — into outcomes, in request order.  Three strategies exist:
+ready — into outcomes, in request order.  Two strategies exist:
 
 * :class:`SerialBackend` — in-process, one shared
-  :class:`~repro.smt.solver.CheckSession` per owner router, with
-  warm-start seed import on first touch.  This is the path every other
-  strategy degrades to, and the only one that can stop *between* checks
-  when a run deadline expires.
-* :class:`ThreadBackend` — legacy thread pool, hermetic solver per check
-  (no shared sessions: the term-interning layer is not thread-safe).
+  :class:`~repro.smt.solver.CheckSession` per owner router.  This is the
+  path the process strategy degrades to, and the only one that can stop
+  *between* checks when a run deadline expires.
 * :class:`ProcessBackend` — the paper's deployment model: checks chunked
   by owner router and discharged by worker *processes*.  Wraps either a
   persistent :class:`~repro.core.exec.pool.WorkerPool` (sessions live in
@@ -23,7 +20,6 @@ Returning ``None`` from a process strategy means "machinery unavailable"
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
@@ -31,7 +27,6 @@ from repro.core.checks import (
     CheckOutcome,
     LocalCheck,
     check_owner,
-    group_checks_by_owner,
     prepare_session,
     skipped_outcome,
 )
@@ -112,14 +107,10 @@ class SerialBackend:
     ) -> list[CheckOutcome]:
         """Discharge one group serially; sessions persist on the pool.
 
-        Preparation is group-granular: the first touch of an owner's
-        session within a group installs the shared preamble for that
-        group's checks and imports any pending warm-start seed —
-        reproducing the legacy per-``run_checks``-call behavior, where a
-        group was exactly one call's batch.
+        The first touch of an owner's session within a group pre-asserts
+        the owner route's well-formedness (idempotent across groups).
         """
         checks = list(group.checks)
-        owner_groups = group_checks_by_owner(checks)
         prepared: set[int] = set()
         outcomes: list[CheckOutcome] = []
         for check in checks:
@@ -130,11 +121,8 @@ class SerialBackend:
             owner = check_owner(check)
             session = self.sessions.get(owner)
             if id(session) not in prepared:
-                # First touch of this session in this group: install the
-                # shared preamble and import any pending warm-start seed.
                 prepared.add(id(session))
-                prepare_session(session, request.universe, owner_groups[owner])
-                self.sessions.try_seed(owner, session)
+                prepare_session(session, request.universe)
             outcomes.append(
                 check.run(
                     request.config,
@@ -146,30 +134,6 @@ class SerialBackend:
                 )
             )
         return outcomes
-
-
-class ThreadBackend:
-    """Legacy thread pool; hermetic solver per check, no shared sessions."""
-
-    name = "thread"
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
-
-    def run(self, request: BatchRequest) -> list[CheckOutcome]:
-        def _run_threaded(check: LocalCheck) -> CheckOutcome:
-            if request.expired():
-                return skipped_outcome(check, "wall-budget")
-            return check.run(
-                request.config,
-                request.universe,
-                request.ghosts,
-                request.conflict_budget,
-                deadline_s=request.effective_deadline(),
-            )
-
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(_run_threaded, request.checks))
 
 
 class ProcessBackend:
@@ -184,15 +148,9 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(
-        self,
-        jobs: int,
-        workers: WorkerPool | None = None,
-        sessions: SessionPool | None = None,
-    ) -> None:
+    def __init__(self, jobs: int, workers: WorkerPool | None = None) -> None:
         self.jobs = jobs
         self.workers = workers
-        self.sessions = sessions
 
     def run(self, request: BatchRequest) -> list[CheckOutcome] | None:
         if self.workers is not None:
@@ -205,11 +163,6 @@ class ProcessBackend:
         """Dispatch on the persistent pool, recording recovery counters."""
         workers = self.workers
         assert workers is not None
-        if self.sessions is not None and self.sessions.seeds:
-            # Warm-start seeds staged on the caller's pool (e.g. restored
-            # from a workspace cache) belong to the worker processes when
-            # they are the ones discharging the checks.
-            workers.absorb_learnts(self.sessions.seeds)
         respawns = workers.worker_respawns
         redispatched = workers.chunks_redispatched
         quarantined = workers.checks_quarantined

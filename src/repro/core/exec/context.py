@@ -29,7 +29,7 @@ from repro.core.report import DegradationReport
 from repro.smt.solver import SessionPool
 
 #: The recognised execution backends, in documentation order.
-BACKENDS = ("auto", "serial", "process", "thread")
+BACKENDS = ("auto", "serial", "process")
 
 #: Environment variable overriding backend selection for ``"auto"``
 #: contexts with no explicit worker pool (unknown values are ignored;

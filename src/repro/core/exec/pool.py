@@ -54,12 +54,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.checks import check_owner, prepare_session, skipped_outcome
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
-from repro.smt.solver import (
-    CheckSession,
-    SessionPool,
-    set_solver_reuse_enabled,
-    solver_reuse_enabled,
-)
+from repro.smt.solver import CheckSession, SessionPool
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -81,7 +76,6 @@ def _init_worker(
     conflict_budget: int | None,
     cache_enabled: bool = True,
     deadline_s: float | None = None,
-    solver_reuse: bool = True,
 ) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = (config, universe, ghosts, conflict_budget, deadline_s)
@@ -90,9 +84,6 @@ def _init_worker(
     # pickle usefully), but a cache-off differential run must stay cache-off
     # end to end.
     set_transfer_cache_enabled(cache_enabled)
-    # Likewise the solver warm-start switch: sessions snapshot it at
-    # construction, so it must be set before any session exists.
-    set_solver_reuse_enabled(solver_reuse)
 
 
 def _run_chunk(
@@ -102,7 +93,7 @@ def _run_chunk(
     assert _WORKER_CONTEXT is not None, "worker initializer did not run"
     config, universe, ghosts, conflict_budget, deadline_s = _WORKER_CONTEXT
     session = CheckSession()
-    prepare_session(session, universe, [check for __, check in indexed_checks])
+    prepare_session(session, universe)
     return [
         (
             index,
@@ -151,7 +142,7 @@ def run_checks_in_processes(
             initializer=_init_worker,
             initargs=(
                 config, universe, ghosts, conflict_budget,
-                transfer_cache_enabled(), deadline_s, solver_reuse_enabled(),
+                transfer_cache_enabled(), deadline_s,
             ),
         ) as pool:
             outcomes: list["CheckOutcome | None"] = [None] * len(checks)
@@ -212,34 +203,20 @@ def _persistent_worker_main(
             continue
         (
             __, run_id, chunk_index, token, indexed_checks,
-            deadline_s, run_deadline, seed,
+            deadline_s, run_deadline,
         ) = message
         chunks_received += 1
         if kill_after is not None and chunks_received >= kill_after:
             # Simulated hard crash: no reply, no cleanup, no exit handlers.
             os._exit(1)
         try:
-            (
-                config, universe, ghosts, conflict_budget,
-                cache_enabled, solver_reuse,
-            ) = contexts[token]
+            config, universe, ghosts, conflict_budget, cache_enabled = contexts[token]
             # Re-apply per chunk, not just at context arrival: chunks for an
             # earlier context may follow a context with the other setting.
             set_transfer_cache_enabled(cache_enabled)
-            # Must be set before sessions.get — a new session snapshots the
-            # flag at construction.
-            set_solver_reuse_enabled(solver_reuse)
             owner = check_owner(indexed_checks[0][1])
             session = sessions.get(owner)
-            prepare_session(
-                session, universe, [c for __, c in indexed_checks]
-            )
-            if seed is not None:
-                # Stage rather than import directly: on a digest mismatch
-                # the pool keeps the seed pending and retries at the next
-                # chunk for this owner, once the preamble has converged.
-                sessions.seed(owner, *seed)
-            sessions.try_seed(owner, session)
+            prepare_session(session, universe)
             vars_before = session.total_vars
             clauses_before = session.total_clauses
             pairs = []
@@ -272,13 +249,7 @@ def _persistent_worker_main(
                 session.total_vars - vars_before,
                 session.total_clauses - clauses_before,
             )
-            # Ship the kept (shared-only) learnt clauses back with the
-            # result so the parent can seed respawned or future workers —
-            # and persist them in the workspace cache.
-            reply = (
-                run_id, chunk_index, "ok", owner, pairs, grew,
-                session.export_learnts(),
-            )
+            reply = (run_id, chunk_index, "ok", owner, pairs, grew)
         except Exception as exc:  # genuine check failure: ship it back
             reply = (run_id, chunk_index, "error", exc)
         try:
@@ -371,19 +342,9 @@ class WorkerPool:
         self._retired: set[int] = set()  # worker slots given up on
         self._parent_sessions: SessionPool | None = None  # for quarantined checks
         self._fault_plan = None  # injected FaultPlan, if any (testing)
-        # Learnt-clause warm-start state: the freshest per-owner export
-        # collected from worker replies (or absorbed from a workspace
-        # cache), plus which (worker slot, owner) pairs have been seeded —
-        # cleared per slot on respawn so a fresh worker is re-seeded and
-        # recovery does not restart its search from zero.
-        self._learnt_store: dict[object, tuple[str, list[list[int]]]] = {}
-        self._seeded: list[set[object]] = []
-        self._seeded_parent: set[object] = set()
         # Reuse telemetry (tests and benchmarks read these).
         self.contexts_shipped = 0
         self.chunks_run = 0
-        self.learnts_collected = 0
-        self.learnts_seeded = 0
         self.last_encoding_growth: dict[object, tuple[int, int]] = {}
         # Degradation telemetry (see stats()).
         self.worker_respawns = 0
@@ -418,7 +379,6 @@ class WorkerPool:
                 process.start()
                 self._workers.append((process, task_queue))
                 self._shipped.append(set())
-                self._seeded.append(set())
         except (OSError, ImportError, ValueError):
             self._abandon()
             return False
@@ -442,7 +402,6 @@ class WorkerPool:
             self._reap(process)
         self._workers = []
         self._shipped = []
-        self._seeded = []
         self._results = None
         self._broken = True
 
@@ -470,7 +429,6 @@ class WorkerPool:
                 self._reap(process)
         self._workers = []
         self._shipped = []
-        self._seeded = []
         self._results = None
         self._closed = True
 
@@ -514,9 +472,6 @@ class WorkerPool:
             self._workers[worker_index][0].join(timeout=1)  # reap the corpse
             self._workers[worker_index] = (process, task_queue)
             self._shipped[worker_index] = set()
-            # The slot's sessions died with the process: re-seed its owners
-            # from the learnt store so recovery warm-starts, not restarts.
-            self._seeded[worker_index] = set()
             self.worker_respawns += 1
             return True
         return False
@@ -595,11 +550,7 @@ class WorkerPool:
             chunk = chunks[chunk_index]
             owner = check_owner(chunk[0][1])
             session = self._parent_sessions.get(owner)
-            prepare_session(session, universe, [c for __, c in chunk])
-            if owner in self._learnt_store and owner not in self._seeded_parent:
-                self._seeded_parent.add(owner)
-                self._parent_sessions.seed(owner, *self._learnt_store[owner])
-            self._parent_sessions.try_seed(owner, session)
+            prepare_session(session, universe)
             for index, check in chunk:
                 if outcomes[index] is not None:
                     continue
@@ -653,7 +604,6 @@ class WorkerPool:
             frozen_ghosts,
             conflict_budget,
             transfer_cache_enabled(),
-            solver_reuse_enabled(),
         )
 
     def _evict_oldest_context(self) -> None:
@@ -736,9 +686,7 @@ class WorkerPool:
             "imbalance": (max(loads) / mean_load) if mean_load else 1.0,
             "contexts_shipped": self.contexts_shipped,
             "chunks_run": self.chunks_run,
-            "learnts_collected": self.learnts_collected,
-            "learnts_seeded": self.learnts_seeded,
-            "learnt_store_owners": len(self._learnt_store),
+            "learnts_seeded": 0,  # no learnt clauses ship; lybench/counters.py reads it
             "serial_fallbacks": self.serial_fallbacks,
             "last_fallback_reason": self.last_fallback_reason,
             "worker_respawns": self.worker_respawns,
@@ -746,25 +694,6 @@ class WorkerPool:
             "checks_quarantined": self.checks_quarantined,
             "quarantined_owners": sorted(self._quarantined, key=str),
         }
-
-    # -- learnt-clause warm start --------------------------------------
-
-    def absorb_learnts(
-        self, seeds: dict[object, tuple[str, list[list[int]]]]
-    ) -> None:
-        """Adopt per-owner learnt exports as worker seeds.
-
-        Used to feed exports restored from a workspace cache into the
-        pool.  An owner the pool already collected fresher clauses for
-        keeps its own export — worker-fresh beats absorbed.
-        """
-        for owner, export in seeds.items():
-            if self._learnt_store.setdefault(owner, export) is export:
-                self.learnts_collected += len(export[1])
-
-    def learnt_snapshot(self) -> dict[object, tuple[str, list[list[int]]]]:
-        """The freshest per-owner learnt exports (for persistence)."""
-        return dict(self._learnt_store)
 
     def run(
         self,
@@ -802,7 +731,7 @@ class WorkerPool:
             self._token_order.append(token)
             self._payloads[token] = (
                 config, universe, tuple(ghosts), conflict_budget,
-                transfer_cache_enabled(), solver_reuse_enabled(),
+                transfer_cache_enabled(),
             )
         payload = self._payloads[token]
         self._run_counter += 1
@@ -854,17 +783,9 @@ class WorkerPool:
                             task_queue.put(("context", token, payload))
                             self._shipped[worker_index].add(token)
                             self.contexts_shipped += 1
-                        seed = None
-                        if (
-                            owner not in self._seeded[worker_index]
-                            and owner in self._learnt_store
-                        ):
-                            seed = self._learnt_store[owner]
-                            self._seeded[worker_index].add(owner)
-                            self.learnts_seeded += len(seed[1])
                         task_queue.put(
                             ("chunk", run_id, chunk_index, token, chunk,
-                             deadline_s, run_deadline, seed)
+                             deadline_s, run_deadline)
                         )
                         dispatch_seq.setdefault(worker_index, []).append(chunk_index)
                         dispatched[chunk_index] = worker_index
@@ -900,14 +821,9 @@ class WorkerPool:
                 return ("machinery", None)
             if status == "error":
                 return ("error", rest[0])
-            owner, pairs, grew, learnt_export = rest
+            owner, pairs, grew = rest
             for index, outcome in pairs:
                 outcomes[index] = outcome
-            if learnt_export is not None:
-                # Freshest export wins: it supersedes both earlier replies
-                # and anything absorbed from a cache.
-                self._learnt_store[owner] = learnt_export
-                self.learnts_collected += len(learnt_export[1])
             old = growth.get(owner, (0, 0))
             growth[owner] = (old[0] + grew[0], old[1] + grew[1])
             pending.discard(chunk_index)

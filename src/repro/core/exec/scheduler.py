@@ -7,16 +7,13 @@ against an :class:`~repro.core.exec.context.ExecutionContext`.  It owns
 everything the four pre-refactor dispatch sites each re-implemented:
 
 * **strategy selection and degradation** — persistent worker pool, then
-  the one-shot process pool, then threads, then the serial session path,
+  the one-shot process pool, then the serial session path,
   recording every fallback on the :class:`DegradationReport` (and
   warning once per context, see
   :meth:`ExecutionContext.record_fallback`);
 * **deadlines** — the per-check ``deadline_s`` and the absolute
   ``run_deadline`` wall budget; groups scheduled after expiry resolve to
   UNKNOWN/``wall-budget`` without touching a solver;
-* **warm-start seed routing** — staged :class:`SessionPool` seeds are
-  absorbed into the worker pool when processes discharge the checks, and
-  imported per owner session on the serial path;
 * **outcome ordering** — outcomes are routed back to their group keys,
   and flat iteration follows plan order regardless of execution order;
 * **stage pipelining** — each round dispatches *every* group whose
@@ -32,12 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.checks import CheckOutcome
-from repro.core.exec.backends import (
-    BatchRequest,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.core.exec.backends import BatchRequest, ProcessBackend, SerialBackend
 from repro.core.exec.context import ExecutionContext, resolve_jobs
 from repro.core.exec.plan import CheckGroup, CheckPlan, GroupKey
 
@@ -191,8 +183,7 @@ class Scheduler:
         persistent-pool dispatch *falls through* to the one-shot pool (one
         batch can record two fallbacks); the one-shot pool is skipped for
         single-check batches and under a run deadline (its blocking map()
-        cannot return partial results); the thread strategy only applies
-        when explicitly selected; everything lands on the serial path.
+        cannot return partial results); everything lands on the serial path.
         """
         context = self.context
         if not batch.checks:
@@ -203,7 +194,7 @@ class Scheduler:
             context._workers() if backend in ("auto", "process") else None
         )
         if workers is not None and backend in ("auto", "process"):
-            process = ProcessBackend(jobs, workers=workers, sessions=context.sessions)
+            process = ProcessBackend(jobs, workers=workers)
             outcomes = process.run_persistent(batch, degradation)
             if outcomes is not None:
                 return outcomes
@@ -228,6 +219,4 @@ class Scheduler:
             if outcomes is not None:
                 return outcomes
             context.record_fallback("one-shot process pool unavailable", degradation)
-        elif jobs > 1 and backend == "thread":
-            return ThreadBackend(jobs).run(batch)
         return SerialBackend(context.sessions).run(batch)

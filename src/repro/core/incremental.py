@@ -80,7 +80,7 @@ def network_digest(config: NetworkConfig) -> str:
     Today that is exactly ``external_asns``: external neighbors' AS numbers
     enter the attribute universe (``AttributeUniverse.from_config``) and
     AS-path reasoning, but appear in no :meth:`RouterConfig.digest`.
-    (:meth:`repro.core.parallel.WorkerPool._fingerprint` includes them for
+    (:meth:`repro.core.exec.WorkerPool._fingerprint` includes them for
     the same reason.)
     """
     canon = tuple(sorted(config.external_asns.items()))

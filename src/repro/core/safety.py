@@ -131,7 +131,6 @@ def run_checks(
       outcomes, deterministically ordered) if no pool can be created.
     * ``"serial"`` — in-process, one shared :class:`CheckSession` per
       owner router.
-    * ``"thread"`` — legacy thread pool, hermetic solver per check.
 
     Two handles make encodings persistent across calls:
 
@@ -139,7 +138,7 @@ def run_checks(
       draws each owner's session from (and leaves populated), so
       incremental re-verification and multi-family sweeps pass one pool
       repeatedly and pay only marginal encoding.
-    * ``workers`` — a persistent :class:`repro.core.parallel.WorkerPool`
+    * ``workers`` — a persistent :class:`repro.core.exec.WorkerPool`
       used whenever the backend allows processes; its workers keep their
       own owner-keyed sessions alive across calls, the process-side
       analogue of ``sessions``.  If the pool machinery is unavailable the

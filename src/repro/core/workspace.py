@@ -24,18 +24,13 @@ or simply calling ``verify`` again — consults only the checks a config
 edit invalidated.
 
 **On-disk outcome cache.**  ``save(path)`` persists the digests, check
-lists, and outcomes of every tracker — plus the per-owner solver state
-(kept learnt clauses with their preamble digests), so a later invocation
-warm-starts the *solver*, not just the outcome table — in a versioned
-file keyed by a config+spec fingerprint; ``Workspace.load(path,
-config=...)`` restores them in a fresh process.  A second ``lightyear
-reverify --cache DIR`` invocation thus skips the base run entirely,
-consults only the edited owners' checks, and re-solves them against the
-clauses the base run learned.  A cache whose fingerprint does not match
-the offered configuration or spec is rejected with
-:class:`WorkspaceCacheMismatch`; restored learnt clauses are additionally
-guarded by a content digest per owner session, so a divergent clause
-database refuses the transplant (counted, never unsound).
+lists, and outcomes of every tracker in a versioned file keyed by a
+config+spec fingerprint; ``Workspace.load(path, config=...)`` restores
+them in a fresh process.  A second ``lightyear reverify --cache DIR``
+invocation thus skips the base run entirely and consults only the edited
+owners' checks.  Solver sessions are process-local and never persisted.
+A cache whose fingerprint does not match the offered configuration or
+spec is rejected with :class:`WorkspaceCacheMismatch`.
 
 The legacy entry points — ``verify_safety``/``verify_liveness`` free
 functions, the :class:`repro.core.engine.Lightyear` facade, and the two
@@ -51,7 +46,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 from repro.bgp.config import NetworkConfig
 from repro.core.exec import ExecutionContext
@@ -65,7 +60,6 @@ from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.report import VerificationReport
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate
-from repro.smt.solver import solver_reuse_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from typing import Callable
@@ -79,9 +73,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 # Bump whenever the pickled cache layout changes; a loader never guesses.
 # Format 2: CheckOutcome records ``unknown_reason`` (deadline/budget
 # attribution), so format-1 outcomes would deserialize incompletely.
-# Format 3: adds the integrity-checked per-owner solver-state section
-# (kept learnt clauses keyed by preamble digest) for solver warm-start.
-CACHE_FORMAT = 3
+# Format 3 added a per-owner learnt-clause section; format 4 drops it
+# again and prefixes the pickled state with a header holding its sha256.
+CACHE_FORMAT = 4
 
 
 class WorkspaceCacheError(ValueError):
@@ -92,6 +86,66 @@ class WorkspaceCacheError(ValueError):
 class WorkspaceCacheMismatch(WorkspaceCacheError):
     """The cache exists and parses, but was saved for a different
     configuration, ghost set, or spec (fingerprint mismatch)."""
+
+
+# Placeholder digest save() writes before the real one is known; the
+# header pickles to the same length either way.
+_NO_DIGEST = "0" * 64
+
+
+def _cache_header(sha256: str) -> bytes:
+    return pickle.dumps(
+        {"format": CACHE_FORMAT, "sha256": sha256}, protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+class _HashingWriter:
+    """A write-only file wrapper that hashes everything written through it."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle = handle
+        self.sha = hashlib.sha256()
+
+    def write(self, data: bytes) -> int:
+        self.sha.update(data)
+        return self.handle.write(data)
+
+
+def _read_cache_state(handle: BinaryIO, path: object) -> Any:
+    """Check a cache file's header and digest, then unpickle its state.
+
+    The digest covers every byte after the header, so a flipped byte
+    anywhere fails here instead of unpickling into valid-looking but wrong
+    outcomes.  Hashing streams the file in chunks, as does the unpickling.
+    """
+    try:
+        header = pickle.load(handle)
+    except Exception as exc:  # unpickling garbage
+        raise WorkspaceCacheError(
+            f"workspace cache at {path} is corrupt or not a cache: {exc}"
+        ) from exc
+    if not isinstance(header, dict) or "format" not in header:
+        raise WorkspaceCacheError(f"workspace cache at {path} is not a workspace cache")
+    if header["format"] != CACHE_FORMAT:
+        raise WorkspaceCacheError(
+            f"workspace cache at {path} has format {header['format']}, "
+            f"this build reads format {CACHE_FORMAT}; delete it and rerun"
+        )
+    start = handle.tell()
+    sha = hashlib.sha256()
+    for chunk in iter(lambda: handle.read(1 << 20), b""):
+        sha.update(chunk)
+    if sha.hexdigest() != header.get("sha256"):
+        raise WorkspaceCacheError(
+            f"workspace cache at {path} is corrupt: integrity check failed"
+        )
+    handle.seek(start)
+    try:
+        return pickle.load(handle)
+    except Exception as exc:
+        raise WorkspaceCacheError(
+            f"workspace cache at {path} is corrupt: {exc!r}"
+        ) from exc
 
 
 @dataclass
@@ -226,8 +280,7 @@ class Workspace(ExecutionContext):
     backend:
         Execution strategy: ``"auto"``/``"process"`` run checks as worker
         *processes* chunked by owner router (the paper's per-device model,
-        with a serial fallback), ``"serial"`` forces in-process execution,
-        ``"thread"`` keeps the legacy thread pool.
+        with a serial fallback), ``"serial"`` forces in-process execution.
     conflict_budget:
         Default per-check SAT conflict budget for every ``verify`` call
         (overridable per call).
@@ -279,12 +332,6 @@ class Workspace(ExecutionContext):
         self.ghosts = tuple(ghosts)
         self.stats = WorkspaceStats()
         self._entries: list[WorkspaceEntry] = []
-        # Solver warm-start restore counters (set by load()): learnt
-        # clauses and distinct owners restored from the cache's
-        # solver-state section.  Actual imports happen lazily at the next
-        # run and are counted on the sessions/pools themselves.
-        self.restored_learnts = 0
-        self.restored_learnt_owners = 0
 
     def __enter__(self) -> "Workspace":
         return self
@@ -501,45 +548,16 @@ class Workspace(ExecutionContext):
 
     # -- persistence ---------------------------------------------------
 
-    def _solver_state(self) -> dict[str, Any]:
-        """Per-owner learnt exports from every substrate this run touched.
-
-        Sessions themselves are not picklable (term interning makes their
-        encodings process-local); what persists is the digest-guarded
-        learnt-clause export, replayable into a deterministically rebuilt
-        session.  Sources, freshest last: seeds loaded but never consumed,
-        the serial session pool's exports, and the worker pool's collected
-        per-owner store.  Empty when solver reuse is disabled.
-        """
-        if not solver_reuse_enabled():
-            return {}
-        solver_state: dict[str, Any] = dict(self.sessions.seeds)
-        solver_state.update(self.sessions.export_learnts())
-        workers = self._worker_pool
-        if workers is None and self._borrowed_workers is not None:
-            borrowed = self._borrowed_workers
-            # A callable supplier is only resolved lazily by runs; calling
-            # it here could *spawn* a pool at save time, so don't.
-            workers = None if callable(borrowed) else borrowed
-        if workers is not None:
-            solver_state.update(workers.learnt_snapshot())
-        return solver_state
-
     def save(self, path: str | os.PathLike[str]) -> None:
-        """Persist digests, check lists, outcomes, and solver state to ``path``.
+        """Persist digests, check lists, and outcomes to ``path``.
 
         The file is versioned and fingerprinted by configuration digests,
         ghost definitions, and the registered spec; :meth:`load` refuses a
-        mismatch.  Solver *sessions* are not persisted (their encodings are
-        process-local); instead the per-owner learnt-clause exports ride
-        along as an integrity-checked blob, and :meth:`load` stages them as
-        seeds the next run imports — or refuses on a digest mismatch.
+        mismatch.  Solver sessions are not persisted (their encodings are
+        process-local).  A header carrying the state's sha256 precedes
+        it, so :meth:`load` rejects a file damaged anywhere.
         """
-        solver_blob = pickle.dumps(
-            self._solver_state(), protocol=pickle.HIGHEST_PROTOCOL
-        )
         state = {
-            "format": CACHE_FORMAT,
             "config_digests": config_digests(self.config),
             "topology": _topology_fp(self.config),
             "ghosts_fp": _ghosts_fp(self.ghosts),
@@ -549,11 +567,6 @@ class Workspace(ExecutionContext):
                 {"kind": entry.kind, "state": entry.tracker.state_dict()}
                 for entry in self._entries
             ],
-            # Stored as pre-pickled bytes plus a content hash: a byte flip
-            # inside the blob would otherwise unpickle into a *valid* but
-            # wrong clause list and be injected silently.
-            "solver_state": solver_blob,
-            "solver_state_sha": hashlib.sha256(solver_blob).hexdigest(),
         }
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -564,7 +577,14 @@ class Workspace(ExecutionContext):
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                # Header first with a placeholder digest, then the state
+                # streamed through the hash (never held as one bytes
+                # object), then the real header over the placeholder.
+                handle.write(_cache_header(_NO_DIGEST))
+                writer = _HashingWriter(handle)
+                pickle.dump(state, writer, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.seek(0)
+                handle.write(_cache_header(writer.sha.hexdigest()))
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -599,26 +619,12 @@ class Workspace(ExecutionContext):
         """
         try:
             with open(path, "rb") as handle:
-                state = pickle.load(handle)
+                state = _read_cache_state(handle, path)
         except OSError as exc:
             raise WorkspaceCacheError(f"cannot read workspace cache: {exc}") from exc
-        except Exception as exc:  # unpickling garbage
-            raise WorkspaceCacheError(
-                f"workspace cache at {path} is corrupt or not a cache: {exc}"
-            ) from exc
-        if not isinstance(state, dict) or "format" not in state:
-            raise WorkspaceCacheError(
-                f"workspace cache at {path} is not a workspace cache"
-            )
-        if state["format"] != CACHE_FORMAT:
-            raise WorkspaceCacheError(
-                f"workspace cache at {path} has format {state['format']}, "
-                f"this build reads format {CACHE_FORMAT}; delete it and rerun"
-            )
-        # Everything below interprets untrusted on-disk structure: a
-        # corrupt-but-unpicklable payload fails above, but a bit flip can
-        # also yield a *valid* pickle with the wrong shape, and the caller
-        # must see WorkspaceCacheError, never a raw KeyError/TypeError.
+        # The payload passed its integrity check, but it may still come from
+        # a buggy or hand-built writer: a wrong shape must surface as
+        # WorkspaceCacheError, never a raw KeyError/TypeError.
         try:
             if config is None:
                 config = state["config"]
@@ -690,38 +696,6 @@ class Workspace(ExecutionContext):
                         tracker=tracker,
                     )
                 )
-            # Solver warm-start section: verify integrity, then stage the
-            # per-owner learnt exports as session seeds.  The next run
-            # imports each seed iff its preamble digest still matches the
-            # deterministically rebuilt clause DB.
-            blob = state["solver_state"]
-            sha = state["solver_state_sha"]
-            if (
-                not isinstance(blob, bytes)
-                or hashlib.sha256(blob).hexdigest() != sha
-            ):
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt: solver-state "
-                    f"integrity check failed"
-                )
-            try:
-                solver_state = pickle.loads(blob)
-            except Exception as exc:
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt: solver-state "
-                    f"section failed to load: {exc!r}"
-                ) from exc
-            if not isinstance(solver_state, dict):
-                raise WorkspaceCacheError(
-                    f"workspace cache at {path} is corrupt: solver-state "
-                    f"section has the wrong shape"
-                )
-            if solver_reuse_enabled():
-                for owner, export in solver_state.items():
-                    digest, clauses = export
-                    workspace.sessions.seed(owner, digest, clauses)
-                    workspace.restored_learnts += len(clauses)
-                workspace.restored_learnt_owners = len(solver_state)
         except WorkspaceCacheError:
             raise
         except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:

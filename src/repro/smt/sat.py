@@ -54,10 +54,6 @@ class SatStats:
     restarts: int = 0
     learned: int = 0
     max_learnt_len: int = 0
-    # Warm-start accounting: assumption-tainted learnt clauses discarded at
-    # retention time, and clauses installed from another solver's export.
-    learned_dropped: int = 0
-    learned_imported: int = 0
 
 
 class SatSolver:
@@ -101,18 +97,6 @@ class SatSolver:
         # thousands of checks must not re-trigger _reduce_db from the base
         # cap every call, discarding the clauses reuse depends on.
         self._max_learnts = 0
-        # Retention policy for check-local learnt clauses: when True (the
-        # default) and ``shared_var_bound`` is set, learnt clauses that
-        # mention any variable beyond the bound are dropped once the
-        # solve's assumptions are retracted.  Clauses within the bound are
-        # consequences of the clause database alone (assumptions are
-        # scoped decisions, never axioms), so they stay sound for later
-        # solves and are portable to any solver that replayed the same
-        # bounded prefix.  Clauses over later variables refer to
-        # check-local Tseitin structure with no meaning elsewhere.
-        self.retain_shared_only = True
-        self.shared_var_bound: int | None = None
-        self._pending_tainted: list[list[int]] = []
         self.num_clauses_added = 0
         # Why the last solve() returned None: "conflicts" (budget) or
         # "timeout" (wall-clock deadline).  None after a decided answer.
@@ -446,112 +430,6 @@ class SatSolver:
                 watches[code] = [c for c in wl if id(c) not in drop_ids]
 
     # ------------------------------------------------------------------
-    # Warm-start support: taint pruning and learnt-clause transplant
-    # ------------------------------------------------------------------
-
-    def _drop_tainted_learnts(self) -> None:
-        """Forget learnt clauses tainted by the previous solve's assumptions.
-
-        Tainted clauses are still consequences of the clause database
-        (assumptions enter as scoped decisions, never as clauses), but they
-        mention one check's assumption variables and are useless — and
-        unexportable under the shared-only retention policy — once those
-        assumptions are retracted.  Must run at decision level 0; clauses
-        locked as reasons on the trail survive until they unlock.
-        """
-        pending = self._pending_tainted
-        if not pending:
-            return
-        self._pending_tainted = []
-        reasons = self.reasons
-        locked = set()
-        for code in self._trail:
-            r = reasons[code >> 1]
-            if r is not None:
-                locked.add(id(r))
-        live = {id(c) for c in self._learnts}
-        drop_ids = ({id(c) for c in pending} & live) - locked
-        if not drop_ids:
-            return
-        self._learnts = [c for c in self._learnts if id(c) not in drop_ids]
-        # A clause is watched exactly at its first two literals, so only
-        # those two lists need rebuilding — not the full watch table.
-        watches = self._watches
-        touched = set()
-        for c in pending:
-            if id(c) in drop_ids:
-                touched.add(c[0])
-                touched.add(c[1])
-        for code in touched:
-            watches[code] = [cl for cl in watches[code] if id(cl) not in drop_ids]
-        self.stats.learned_dropped += len(drop_ids)
-
-    def retain_shared_learnts(self) -> None:
-        """Reset to level 0 and drop assumption-tainted learnt clauses,
-        leaving only clauses safe to export to another solver built over
-        the same clause database."""
-        self._cancel_until(0)
-        self._drop_tainted_learnts()
-
-    def inject_learnts(self, clauses: list[list[int]]) -> int:
-        """Install externally learned clauses (external DIMACS literals).
-
-        The caller guarantees the clauses are consequences of an
-        identically constructed clause database (see
-        ``CheckSession.export_learnts`` and its digest check).  Each clause
-        is simplified against the level-0 trail like ``add_clause``;
-        clauses over unknown variables or already root-satisfied are
-        skipped.  Returns the number of clauses actually installed.
-        """
-        if not self.ok:
-            return 0
-        self._cancel_until(0)
-        values = self._values
-        levels = self.levels
-        installed = 0
-        for lits in clauses:
-            seen: set[int] = set()
-            clause: list[int] = []
-            skip = False
-            for lit in lits:
-                code = (lit << 1) if lit > 0 else (((-lit) << 1) | 1)
-                if (code >> 1) > self.num_vars:
-                    skip = True  # mentions a variable this solver never saw
-                    break
-                if code ^ 1 in seen:
-                    skip = True  # tautology
-                    break
-                if code in seen:
-                    continue
-                val = values[code]
-                if val == 1 and levels[code >> 1] == 0:
-                    skip = True  # already satisfied at the root
-                    break
-                if val == 0 and levels[code >> 1] == 0:
-                    continue  # root-false literal: drop it
-                seen.add(code)
-                clause.append(code)
-            if skip:
-                continue
-            if not clause:
-                # Every literal root-false would mean the DB is unsat,
-                # which a digest-matched export cannot produce — treat as
-                # a foreign payload and refuse rather than poison the DB.
-                continue
-            if len(clause) == 1:
-                if not self._enqueue(clause[0], None) or self._propagate() is not None:
-                    self.ok = False
-                    return installed
-                installed += 1
-                continue
-            self._learnts.append(clause)
-            self._watches[clause[0]].append(clause)
-            self._watches[clause[1]].append(clause)
-            installed += 1
-        self.stats.learned_imported += installed
-        return installed
-
-    # ------------------------------------------------------------------
     # Main search loop
     # ------------------------------------------------------------------
 
@@ -583,10 +461,7 @@ class SatSolver:
             self.stop_reason = "timeout"
             return None
         self._cancel_until(0)
-        self._drop_tainted_learnts()
         assume_codes = [_to_code(l) for l in (assumptions or [])]
-        shared_bound = self.shared_var_bound if self.retain_shared_only else None
-        pending_tainted = self._pending_tainted
         conflict = self._propagate()
         if conflict is not None:
             self.ok = False
@@ -606,6 +481,10 @@ class SatSolver:
                 total_conflicts += 1
                 conflicts_since_restart += 1
                 if not self.trail_lim:
+                    # A root-level conflict refutes the clause DB itself:
+                    # remember it, or a later solve() would resume from a
+                    # falsified trail and could answer SAT.
+                    self.ok = False
                     return False
                 learnt, backjump = self._analyze(conflict)
                 self._cancel_until(backjump)
@@ -616,10 +495,6 @@ class SatSolver:
                     self._watches[learnt[0]].append(learnt)
                     self._watches[learnt[1]].append(learnt)
                     self.stats.learned += 1
-                    if shared_bound is not None and any(
-                        (q >> 1) > shared_bound for q in learnt
-                    ):
-                        pending_tainted.append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self._decay_activities()
                 if conflict_budget is not None and total_conflicts >= conflict_budget:

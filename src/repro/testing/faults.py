@@ -4,8 +4,8 @@ The fault-tolerant execution layer (worker respawn, chunk redispatch,
 quarantine, deadlines) is only trustworthy if its recovery paths are
 exercised on demand.  This module plants failures at fixed points:
 
-* **kill worker after N chunks** — a :class:`repro.core.parallel.
-  WorkerPool` worker calls ``os._exit(1)`` on receipt of its Nth chunk,
+* **kill worker after N chunks** — a :class:`repro.core.exec.WorkerPool`
+  worker calls ``os._exit(1)`` on receipt of its Nth chunk,
   before replying, simulating a hard crash mid-run.  ``times`` bounds how
   many worker incarnations die (the parent strips one firing per respawn),
   so "the same chunk kills its worker twice" is a reproducible scenario,

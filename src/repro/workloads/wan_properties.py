@@ -21,8 +21,8 @@ covers the Table-4c liveness sweep
 (:func:`verify_ip_reuse_liveness_problems`): one universe spanning every
 region's property, constraints, and interference invariants, and one pool
 shared by all regions' propagation/implication/no-interference checks.
-All runners also accept a persistent :class:`repro.core.parallel.
-WorkerPool` for the process backend — or, since the session-oriented API
+All runners also accept a persistent :class:`repro.core.exec.WorkerPool`
+for the process backend — or, since the session-oriented API
 redesign, a whole :class:`repro.core.workspace.Workspace` via
 ``workspace=``, whose session pool, worker pool, and execution settings
 the sweep then shares with everything else the workspace runs.
@@ -35,8 +35,8 @@ from typing import Sequence
 
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.topology import Edge
+from repro.core.exec import WorkerPool
 from repro.core.liveness import LivenessReport, liveness_predicates, verify_liveness
-from repro.core.parallel import WorkerPool
 from repro.core.properties import InvariantMap, LivenessProperty, SafetyProperty
 from repro.core.safety import SafetyReport, build_universe, verify_safety_family
 from repro.smt.solver import SessionPool

@@ -227,3 +227,17 @@ def test_cli_rejects_nonpositive_durations(cli_inputs):
         main(["verify", config, spec, "--deadline", "0"])
     with pytest.raises(SystemExit):
         main(["verify", config, spec, "--wall-budget", "-5"])
+
+
+@pytest.mark.parametrize("flag", ["--deadline", "--wall-budget"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_durations(cli_inputs, capsys, flag, value):
+    # NaN compares False against everything, so a NaN budget used to be
+    # accepted and never expire; reject it (and inf) at parse time.
+    config, spec = cli_inputs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", config, spec, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a positive, finite duration, got {value}" in err
+    assert "Traceback" not in err

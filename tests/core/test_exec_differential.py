@@ -46,7 +46,7 @@ from repro.workloads.randomnet import build_random_network
 from tests.core.conftest import customer_liveness_property
 
 #: The backend × job-count matrix every differential case runs over.
-BACKENDS = (("serial", 1), ("thread", 2), ("process", 2), ("auto", 2))
+BACKENDS = (("serial", 1), ("process", 2), ("auto", 2))
 
 
 def _fingerprint(outcome):
@@ -184,7 +184,7 @@ def test_liveness_driver_identical_across_backends(buggy):
 # -- incremental reverify: cached + fresh vs from-scratch --------------
 
 
-@pytest.mark.parametrize("backend,parallel", [("serial", None), ("thread", 2), ("process", 2)])
+@pytest.mark.parametrize("backend,parallel", [("serial", None), ("process", 2)])
 def test_incremental_reverify_matches_scratch(backend, parallel):
     config, ghost, prop, invariants = _no_transit_problem(5, "gnp", 0, False)
     edited, __, __, __ = _no_transit_problem(5, "gnp", 0, True)

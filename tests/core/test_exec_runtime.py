@@ -252,9 +252,9 @@ def test_context_validates_eagerly():
 
 
 def test_env_override_applies_only_to_bare_auto_contexts(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    monkeypatch.setenv("REPRO_BACKEND", "serial")
     assert ExecutionContext(None, "auto", None, None, None).resolved_backend() == (
-        "thread"
+        "serial"
     )
     # Explicit backends and contexts holding a worker pool are exempt.
     assert ExecutionContext(None, "serial", None, None, None).resolved_backend() == (
@@ -268,6 +268,10 @@ def test_env_override_applies_only_to_bare_auto_contexts(monkeypatch):
         )
     finally:
         pool.close()
+    monkeypatch.setenv("REPRO_BACKEND", "thread")  # not a backend
+    assert ExecutionContext(None, "auto", None, None, None).resolved_backend() == (
+        "auto"
+    )
     monkeypatch.setenv("REPRO_BACKEND", "bogus")
     assert ExecutionContext(None, "auto", None, None, None).resolved_backend() == (
         "auto"

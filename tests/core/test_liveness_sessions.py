@@ -28,7 +28,7 @@ from repro.core.liveness import (
     liveness_universe,
     verify_liveness,
 )
-from repro.core.parallel import WorkerPool
+from repro.core.exec import WorkerPool
 from repro.core.properties import InvariantMap
 from repro.core.safety import build_universe, verify_safety
 from repro.lang.predicates import HasCommunity, Implies

@@ -117,12 +117,12 @@ def test_verify_safety_parallel_auto_passes():
     assert report.passed
 
 
-def test_thread_backend_still_works():
+def test_thread_backend_is_rejected():
     config, ghost, prop, invariants = _fullmesh_problem(4)
-    report = verify_safety(
-        config, prop, invariants, ghosts=(ghost,), parallel=2, backend="thread"
-    )
-    assert report.passed
+    with pytest.raises(ValueError, match="unknown backend"):
+        verify_safety(
+            config, prop, invariants, ghosts=(ghost,), parallel=2, backend="thread"
+        )
 
 
 def test_resolve_jobs_contract():
@@ -155,7 +155,7 @@ def test_unknown_backend_rejected():
 
 
 def test_chunking_is_complete_and_owner_pure():
-    from repro.core.parallel import chunk_by_owner
+    from repro.core.exec import chunk_by_owner
 
     config, ghost, prop, invariants = _fullmesh_problem(5)
     __, checks = _problem_pieces(config, ghost, prop, invariants)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.bgp.topology import Edge
 from repro.core.checks import check_owner, generate_safety_checks
-from repro.core.parallel import WorkerPool
+from repro.core.exec import WorkerPool
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import build_universe, run_checks, verify_safety
 from repro.lang.ghost import GhostAttribute

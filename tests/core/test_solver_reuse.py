@@ -1,19 +1,19 @@
-"""Solver warm-start (PR 7): learnt-clause and shared-fragment reuse.
+"""Session reuse: shared sessions answer exactly like hermetic solvers.
 
-Three layers are pinned here:
+A :class:`CheckSession` pre-asserts the owner route's well-formedness
+into its clause DB and keeps every learnt clause for the rest of its
+life, across checks and across properties.  Two layers are pinned here:
 
-* **SatSolver mechanics** — the learnt-DB cap persists across ``solve``
-  calls (the bug this PR fixes), ``inject_learnts`` installs foreign
-  payloads defensively, and the shared-bound taint policy drops exactly
-  the clauses that mention post-preamble (check-local) variables;
-* **CheckSession / SessionPool** — shared fragments are asserted once
-  and skipped per check, exports round-trip into a deterministically
-  replayed session, digest mismatches refuse the import and keep the
-  seed pending for retry;
-* **Differential equivalence** — with reuse on vs. off, every check
-  outcome is identical on randomized safety configs and on liveness
-  problems.  Reuse is a performance policy; it must never change an
-  answer.
+* **SatSolver / CheckSession mechanics** — the learnt-DB cap persists
+  across ``solve`` calls, learnt clauses survive between solves, and the
+  pre-asserted fragment is skipped as a per-check assumption;
+* **Differential equivalence** — the same checks discharged through one
+  shared :class:`SessionPool` and through a hermetic
+  :class:`repro.smt.Solver` per check (``LocalCheck.run(...,
+  session=None)``) yield identical outcome fingerprints on randomized
+  safety configs, fullmesh liveness, and the WAN families whose checks
+  actually conflict and learn.  Reuse is a performance policy; it must
+  never change an answer.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.topology import Edge
+from repro.core.liveness import liveness_universe, verify_liveness
 from repro.core.properties import InvariantMap, SafetyProperty
-from repro.core.safety import verify_safety
-from repro.core.liveness import verify_liveness
+from repro.core.safety import build_universe, verify_safety
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.smt.sat import SatSolver
-from repro.smt.solver import (
-    CheckSession,
-    SessionPool,
-    set_solver_reuse_enabled,
-    solver_reuse_enabled,
-)
+from repro.smt.solver import SessionPool
 from repro.workloads.fullmesh import (
     TRANSIT_COMMUNITY,
     build_full_mesh,
@@ -41,21 +36,15 @@ from repro.workloads.fullmesh import (
 from repro.workloads.randomnet import build_random_network
 from repro.workloads.wan import build_wan
 from repro.workloads.wan_properties import (
+    all_peering_problems,
+    ip_reuse_safety_problem,
     verify_ip_reuse_safety_problems,
     verify_peering_problems,
 )
 
 
-@pytest.fixture
-def reuse_flag():
-    """Restore the global reuse toggle after a test that flips it."""
-    before = solver_reuse_enabled()
-    yield
-    set_solver_reuse_enabled(before)
-
-
 # ---------------------------------------------------------------------------
-# SatSolver mechanics
+# SatSolver / CheckSession mechanics
 # ---------------------------------------------------------------------------
 
 
@@ -70,83 +59,42 @@ class TestSatWarmStart:
         assert solver.solve() is True
         assert solver._max_learnts == 123456
 
-    def _three_var_solver(self):
+    @staticmethod
+    def _pigeonhole(pigeons: int, guarded: bool = False) -> SatSolver:
+        """``pigeons`` into ``pigeons - 1`` holes.  ``guarded`` relaxes
+        every at-least-one-hole clause by a fresh guard variable (the last
+        one), so the formula is unsat only under the assumption ``guard``."""
         solver = SatSolver()
-        a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
-        return solver, a, b, c
+        holes = pigeons - 1
+        p = [[solver.new_var() for __ in range(holes)] for __ in range(pigeons)]
+        guard = solver.new_var() if guarded else None
+        for pigeon in p:
+            solver.add_clause(list(pigeon) + ([] if guard is None else [-guard]))
+        for hole in range(holes):
+            for i in range(pigeons):
+                for j in range(i + 1, pigeons):
+                    solver.add_clause([-p[i][hole], -p[j][hole]])
+        return solver
 
-    def test_inject_skips_clause_with_unknown_variable(self):
-        solver, a, b, c = self._three_var_solver()
-        assert solver.inject_learnts([[a, 99]]) == 0
-        assert solver.learnts == []
+    def test_solve_keeps_every_learnt_clause(self):
+        # Pigeonhole 5-into-4 under a guard assumption is refuted only
+        # through conflicts, so the first solve learns; the next solve
+        # (guard lifted) starts from the same learnt DB.
+        solver = self._pigeonhole(5, guarded=True)
+        guard = solver.num_vars
+        assert solver.solve([guard]) is False
+        learnt = {tuple(sorted(c)) for c in solver.learnts}
+        assert learnt, "pigeonhole must learn at least one clause"
+        assert solver.solve([-guard]) is True
+        assert learnt <= {tuple(sorted(c)) for c in solver.learnts}
 
-    def test_inject_skips_tautology(self):
-        solver, a, b, c = self._three_var_solver()
-        assert solver.inject_learnts([[a, -a, b]]) == 0
-        assert solver.learnts == []
-
-    def test_inject_skips_root_satisfied_clause(self):
-        solver, a, b, c = self._three_var_solver()
-        solver.add_clause([a])  # a is true at level 0
-        assert solver.inject_learnts([[a, b]]) == 0
-        assert solver.learnts == []
-
-    def test_inject_drops_root_false_literal(self):
-        solver, a, b, c = self._three_var_solver()
-        solver.add_clause([-a])  # a is false at level 0
-        assert solver.inject_learnts([[a, b, c]]) == 1
-        assert sorted(solver.learnts[0]) == sorted([b, c])
-
-    def test_inject_unit_is_enqueued_at_root(self):
-        solver, a, b, c = self._three_var_solver()
-        assert solver.inject_learnts([[b]]) == 1
-        assert solver.stats.learned_imported == 1
-        assert solver.solve([-b]) is False  # unit b is now a root fact
-        assert solver.solve([b]) is True
-
-    def test_inject_counts_only_installed(self):
-        solver, a, b, c = self._three_var_solver()
-        installed = solver.inject_learnts([[a, b], [a, 99], [c]])
-        assert installed == 2
-        assert solver.stats.learned_imported == 2
-
-    def test_taint_machinery_drops_pending_from_db_and_watches(self):
-        solver, a, b, c = self._three_var_solver()
-        clause = [a << 1, b << 1]  # literal codes for (a or b)
-        solver._learnts.append(clause)
-        solver._watches[clause[0]].append(clause)
-        solver._watches[clause[1]].append(clause)
-        solver._pending_tainted.append(clause)
-        solver.retain_shared_learnts()
-        assert solver.learnts == []
-        assert clause not in solver._watches[clause[0]]
-        assert clause not in solver._watches[clause[1]]
-        assert solver.stats.learned_dropped == 1
-
-    def test_taint_drop_ignores_clause_already_reduced_away(self):
-        # _reduce_db may remove a pending-tainted clause first; the later
-        # drop must not double-count it.
-        solver, a, b, c = self._three_var_solver()
-        clause = [a << 1, b << 1]
-        solver._pending_tainted.append(clause)  # never entered _learnts
-        solver.retain_shared_learnts()
-        assert solver.stats.learned_dropped == 0
-
-    def test_no_bound_means_no_taint(self):
-        # Without a shared_var_bound, solve() retains every learnt clause
-        # (MiniSat-style incremental behaviour — the pre-PR default).
-        solver = SatSolver()
-        assert solver.shared_var_bound is None
-        vars_ = [solver.new_var() for _ in range(6)]
-        solver.add_clause([vars_[0], vars_[1]])
-        solver.add_clause([-vars_[0], vars_[2]])
-        solver.solve([vars_[3]])
-        assert solver._pending_tainted == []
-
-
-# ---------------------------------------------------------------------------
-# CheckSession / SessionPool reuse surface
-# ---------------------------------------------------------------------------
+    def test_root_conflict_is_remembered(self):
+        # Unsat without assumptions: the refutation ends in a root-level
+        # conflict, and every later solve must stay UNSAT.
+        solver = self._pigeonhole(4)
+        assert solver.solve() is False
+        assert solver.ok is False
+        assert solver.solve() is False
 
 
 def _wan_pool():
@@ -164,78 +112,9 @@ class TestSessionReuse:
         # fragment it used to ship as an assumption.
         assert stats["shared_skips"] >= stats["checks_discharged"] > 0
 
-    def test_export_produces_bounded_signed_clauses(self):
-        wan, pool = _wan_pool()
-        exports = pool.export_learnts()
-        assert exports, "expected at least one owner to export learnt clauses"
-        for key, (digest, clauses) in exports.items():
-            session = pool._sessions[key]
-            assert digest == session.preamble_digest
-            assert len(clauses) <= CheckSession.MAX_EXPORT_CLAUSES
-            for clause in clauses:
-                assert 0 < len(clause) <= CheckSession.MAX_EXPORT_CLAUSE_LEN
-                assert all(
-                    lit != 0 and abs(lit) <= session._preamble_vars
-                    for lit in clause
-                )
-
-    def test_export_import_round_trip_counts(self):
-        wan, pool = _wan_pool()
-        exports = pool.export_learnts()
-        total = sum(len(clauses) for __, clauses in exports.values())
-        assert total > 0
-
-        # Deterministic replay: a fresh pool running the same problems
-        # reaches the same preamble digests, so staged seeds import.
-        fresh = SessionPool()
-        for key, (digest, clauses) in exports.items():
-            fresh.seed(key, digest, clauses)
-        verify_ip_reuse_safety_problems(wan, sessions=fresh)
-        stats = fresh.stats()
-        assert stats["learnts_imported"] > 0
-        assert stats["pending_seeds"] == 0
-
-    def test_digest_mismatch_refuses_import_and_keeps_seed(self):
-        wan, pool = _wan_pool()
-        exports = pool.export_learnts()
-        key, (digest, clauses) = next(iter(exports.items()))
-        session = pool._sessions[key]
-        before = len(session._sat._learnts)
-
-        got = session.import_learnts("0" * 64, clauses)
-        assert got is None
-        assert session.import_digest_mismatches == 1
-        assert len(session._sat._learnts) == before
-
-        # Through the pool: a mismatching seed stays pending for retry.
-        pool.seed(key, "0" * 64, clauses)
-        assert pool.try_seed(key, session) is None
-        assert key in pool.seeds
-
-    def test_matching_digest_imports(self):
-        wan, pool = _wan_pool()
-        exports = pool.export_learnts()
-        key, (digest, clauses) = next(iter(exports.items()))
-        session = pool._sessions[key]
-        got = session.import_learnts(digest, clauses)
-        assert got is not None and got >= 0
-        assert session.learnts_imported == got
-
-    def test_reuse_disabled_session_exports_nothing(self, reuse_flag):
-        set_solver_reuse_enabled(False)
-        wan = build_wan(regions=2, routers_per_region=3)
-        pool = SessionPool()
-        verify_ip_reuse_safety_problems(wan, sessions=pool)
-        stats = pool.stats()
-        assert stats["shared_skips"] == 0
-        assert pool.export_learnts() == {}
-        for session in pool._sessions.values():
-            assert not session.reuse_enabled
-            assert session.preamble_digest is None
-
 
 # ---------------------------------------------------------------------------
-# Differential: reuse on vs. off never changes an outcome
+# Differential: shared sessions vs. a hermetic solver per check
 # ---------------------------------------------------------------------------
 
 
@@ -252,20 +131,20 @@ def _no_transit_problem(config):
     return ghost, prop, invariants
 
 
+def _fingerprint(outcome):
+    return (str(outcome.check), outcome.passed, outcome.unknown, outcome.unknown_reason)
+
+
 def _outcome_fingerprint(report):
+    return sorted(_fingerprint(o) for o in report.iter_outcomes())
+
+
+def _hermetic_fingerprint(report, config, universe, ghosts):
+    """Re-discharge every check of ``report`` on a fresh solver each."""
     return sorted(
-        (str(o.check), o.passed, o.unknown, o.unknown_reason)
+        _fingerprint(o.check.run(config, universe, ghosts))
         for o in report.iter_outcomes()
     )
-
-
-def _with_reuse(enabled, fn):
-    before = solver_reuse_enabled()
-    set_solver_reuse_enabled(enabled)
-    try:
-        return fn()
-    finally:
-        set_solver_reuse_enabled(before)
 
 
 @pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
@@ -273,67 +152,58 @@ def _with_reuse(enabled, fn):
 def test_differential_safety_random_networks(model, seed):
     config = build_random_network(8, model=model, seed=seed)
     ghost, prop, invariants = _no_transit_problem(config)
-
-    def run():
-        return verify_safety(config, prop, invariants, ghosts=(ghost,))
-
-    on = _with_reuse(True, run)
-    off = _with_reuse(False, run)
-    assert on.passed == off.passed
-    assert _outcome_fingerprint(on) == _outcome_fingerprint(off)
+    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
+    report = verify_safety(
+        config, prop, invariants, ghosts=(ghost,), universe=universe,
+        sessions=SessionPool(),
+    )
+    hermetic = _hermetic_fingerprint(report, config, universe, (ghost,))
+    assert _outcome_fingerprint(report) == hermetic
 
 
 @pytest.mark.parametrize("n", [6, 10])
 def test_differential_liveness_fullmesh(n):
     config = build_full_mesh(n)
     prop = full_mesh_liveness_property(n)
-
-    def run():
-        return verify_liveness(config, prop)
-
-    on = _with_reuse(True, run)
-    off = _with_reuse(False, run)
-    assert on.passed == off.passed
-    assert _outcome_fingerprint(on) == _outcome_fingerprint(off)
+    universe = liveness_universe(config, prop)
+    report = verify_liveness(config, prop, universe=universe, sessions=SessionPool())
+    assert report.passed
+    assert _outcome_fingerprint(report) == _hermetic_fingerprint(
+        report, config, universe, ()
+    )
 
 
 def test_differential_wan_with_learnt_traffic():
-    # The workload that actually learns (and retains) clauses: outcomes
-    # must still be identical with the learnt DB warm vs. cold.
+    # The workload that actually learns (and retains) clauses: one pool
+    # across both property families, so later checks solve against every
+    # clause earlier ones learned — and must still answer like fresh
+    # solvers.
     wan = build_wan(regions=2, routers_per_region=3)
+    pool = SessionPool()
+    results = verify_ip_reuse_safety_problems(wan, sessions=pool)
+    results += verify_peering_problems(wan, sessions=pool)
+    assert pool.stats()["learnts_kept"] > 0
 
-    def run():
-        pool = SessionPool()
-        results = verify_ip_reuse_safety_problems(wan, sessions=pool)
-        peering = verify_peering_problems(wan, sessions=pool)
-        fingerprints = [
-            (problem.region, _outcome_fingerprint(report))
-            for problem, report in results
-        ]
-        fingerprints += [
-            (problem.name, _outcome_fingerprint(report))
-            for problem, report in peering
-        ]
-        return fingerprints
+    # The runners hoist one universe over each sweep's families; rebuild
+    # the same universes for the hermetic side.
+    def sweep_universe(problems):
+        preds = []
+        for prob in problems:
+            preds.extend(p.predicate for p in prob.properties)
+            preds.append(prob.invariants.default)
+            preds.extend(
+                prob.invariants.get(loc)
+                for loc in prob.invariants.overridden_locations()
+            )
+        ghosts = tuple(prob.ghost for prob in problems)
+        return build_universe(wan.config, None, preds, ghosts)
 
-    assert _with_reuse(True, run) == _with_reuse(False, run)
-
-
-def test_differential_warm_seeded_pool_same_outcomes():
-    # Even a pool warm-started from another run's export must answer
-    # identically (imported clauses are consequences, not new axioms).
-    wan = build_wan(regions=2, routers_per_region=3)
-    cold_pool = SessionPool()
-    cold = verify_ip_reuse_safety_problems(wan, sessions=cold_pool)
-    exports = cold_pool.export_learnts()
-    assert exports
-
-    warm_pool = SessionPool()
-    for key, (digest, clauses) in exports.items():
-        warm_pool.seed(key, digest, clauses)
-    warm = verify_ip_reuse_safety_problems(wan, sessions=warm_pool)
-    assert warm_pool.stats()["learnts_imported"] > 0
-
-    assert [
-        _outcome_fingerprint(report) for __, report in cold
-    ] == [_outcome_fingerprint(report) for __, report in warm]
+    ip_reuse = [ip_reuse_safety_problem(wan, r) for r in range(wan.regions)]
+    universes = [sweep_universe(ip_reuse)] * len(ip_reuse)
+    universes += [sweep_universe(all_peering_problems(wan))] * (
+        len(results) - len(ip_reuse)
+    )
+    for (problem, report), universe in zip(results, universes):
+        assert _outcome_fingerprint(report) == _hermetic_fingerprint(
+            report, wan.config, universe, (problem.ghost,)
+        )

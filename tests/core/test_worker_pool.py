@@ -17,7 +17,7 @@ from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
 from repro.bgp.topology import Edge
 from repro.core.checks import generate_safety_checks
 from repro.core.incremental import IncrementalVerifier
-from repro.core.parallel import WorkerPool
+from repro.core.exec import WorkerPool
 from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import build_universe, run_checks, verify_safety
 from repro.lang.ghost import GhostAttribute

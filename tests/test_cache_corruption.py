@@ -106,8 +106,8 @@ def test_future_format_raises_cache_error(tmp_path):
 
 
 def test_previous_format_raises_cache_error(tmp_path):
-    # A format-2 cache (pre solver-state) must be rejected readably, not
-    # loaded with the solver-state section silently missing.
+    # A format-3 cache (with the retired learnt-clause section) must be
+    # rejected readably, not loaded with that section silently ignored.
     target = tmp_path / "workspace.lyc"
     target.write_bytes(pickle.dumps({"format": CACHE_FORMAT - 1}))
     with pytest.raises(WorkspaceCacheError, match="format"):
@@ -115,68 +115,73 @@ def test_previous_format_raises_cache_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Solver-state section: flips inside the pickled blob must be caught
+# A bulkier cache: flips deep inside real tracker state must be caught
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def solver_state_cache(tmp_path_factory):
-    """A saved cache whose solver-state section is non-trivial."""
-    from repro.smt.solver import SessionPool
+def wan_cache(tmp_path_factory):
+    """A saved cache holding every WAN 2x3 ip-reuse property's outcomes."""
     from repro.workloads.wan import build_wan
-    from repro.workloads.wan_properties import verify_ip_reuse_safety_problems
+    from repro.workloads.wan_properties import ip_reuse_safety_problem
 
-    tmp = tmp_path_factory.mktemp("solverstate")
+    tmp = tmp_path_factory.mktemp("wancache")
     wan = build_wan(regions=2, routers_per_region=3)
-    pool = SessionPool()
-    verify_ip_reuse_safety_problems(wan, sessions=pool)
-    exports = pool.export_learnts()
-    assert exports, "fixture workload must export learnt clauses"
-
-    config = build_figure1()
-    prop = SafetyProperty(location=Edge("R2", "ISP2"), predicate=TruePred(), name="t")
-    with Workspace(config) as ws:
-        ws.verify(prop, ws.invariants())
-        # Stage real learnt exports so the persisted section has bulk.
-        for key, (digest, clauses) in exports.items():
-            ws.sessions.seed(key, digest, clauses)
+    problems = [ip_reuse_safety_problem(wan, r) for r in range(wan.regions)]
+    with Workspace(wan.config, ghosts=tuple(p.ghost for p in problems)) as ws:
+        for problem in problems:
+            for prop in problem.properties:
+                ws.verify(prop, problem.invariants)
         ws.save(tmp / "workspace.lyc")
-
-    saved = tmp / "workspace.lyc"
-    state = pickle.loads(saved.read_bytes())
-    blob = state["solver_state"]
-    assert len(blob) > 64, "solver-state blob unexpectedly small"
-    offset = saved.read_bytes().index(blob)
-    return saved, config, offset, len(blob)
+    return tmp / "workspace.lyc", wan.config
 
 
 @pytest.mark.parametrize("position", [0.0, 0.25, 0.5, 0.75, 0.999])
-def test_bit_flip_inside_solver_state_raises_cache_error(
-    solver_state_cache, tmp_path, position
-):
-    # The blob is length-prefixed bytes inside the outer pickle, so a flip
-    # inside it can yield a blob that still unpickles "successfully" but
-    # wrongly; the stored sha256 must catch every byte.
-    saved, config, blob_offset, blob_len = solver_state_cache
-    offset = blob_offset + int(blob_len * position)
+def test_bit_flip_across_wan_cache_raises_cache_error(wan_cache, tmp_path, position):
+    saved, config = wan_cache
+    offset = int(saved.stat().st_size * position)
     copy = _damaged_copy(saved, tmp_path, lambda p: corrupt_file(p, offset))
     with pytest.raises(WorkspaceCacheError):
         Workspace.load(copy, config=config)
 
 
-def test_wrong_shape_solver_state_raises_cache_error(solver_state_cache, tmp_path):
-    # A well-formed pickle of the wrong type in the slot (integrity sha
-    # recomputed to match) exercises the shape check, not the sha check.
+@pytest.mark.parametrize("keep_fraction", [0.1, 0.5, 0.9, 0.999])
+def test_truncation_across_wan_cache_raises_cache_error(
+    wan_cache, tmp_path, keep_fraction
+):
+    saved, config = wan_cache
+    keep = int(saved.stat().st_size * keep_fraction)
+    copy = _damaged_copy(saved, tmp_path, lambda p: truncate_file(p, keep))
+    with pytest.raises(WorkspaceCacheError):
+        Workspace.load(copy, config=config)
+
+
+def test_tampered_state_fails_integrity_check(saved_cache, tmp_path):
+    # A state that still unpickles into a valid shape (here: every entry
+    # dropped) must be caught by the header digest, not loaded.
+    saved, config = saved_cache
+    with open(saved, "rb") as handle:
+        header = pickle.load(handle)
+        state = pickle.load(handle)
+    state["entries"] = []
+    target = tmp_path / "workspace.lyc"
+    target.write_bytes(pickle.dumps(header) + pickle.dumps(state))
+    with pytest.raises(WorkspaceCacheError, match="integrity check failed"):
+        Workspace.load(target, config=config)
+
+
+def test_wrong_shape_payload_raises_cache_error(saved_cache, tmp_path):
+    # A well-formed pickle of the wrong type after the header (its sha256
+    # recomputed to match) exercises the shape check, not the digest check.
     import hashlib
 
-    saved, config, __, __unused = solver_state_cache
-    state = pickle.loads(saved.read_bytes())
-    blob = pickle.dumps(["not", "a", "dict"])
-    state["solver_state"] = blob
-    state["solver_state_sha"] = hashlib.sha256(blob).hexdigest()
+    saved, config = saved_cache
+    header = pickle.loads(saved.read_bytes())
+    payload = pickle.dumps(["not", "a", "dict"])
+    header["sha256"] = hashlib.sha256(payload).hexdigest()
     target = tmp_path / "workspace.lyc"
-    target.write_bytes(pickle.dumps(state))
-    with pytest.raises(WorkspaceCacheError, match="solver-state"):
+    target.write_bytes(pickle.dumps(header) + payload)
+    with pytest.raises(WorkspaceCacheError, match="corrupt"):
         Workspace.load(target, config=config)
 
 

@@ -125,6 +125,97 @@ def test_reverify_cache_fresh_process_round_trip(cache_setup):
     assert "reverify: consulted 6 of 19 checks (6 re-run, 13 reused)" in second.stdout
 
 
+def _wan_spec_json(wan, region: int = 0) -> str:
+    """The region-0 ip-reuse safety family as a public spec document."""
+    from repro.bgp.topology import Edge
+    from repro.lang.specjson import (
+        SafetySpec,
+        VerificationSpec,
+        location_to_str,
+        spec_to_json,
+    )
+    from repro.workloads.wan_properties import ip_reuse_safety_problem
+
+    problem = ip_reuse_safety_problem(wan, region)
+    dc_edges = [
+        Edge(dc, router)
+        for dc, (dc_region, router) in wan.datacenters.items()
+        if dc_region == region
+    ]
+    spec = VerificationSpec(
+        ghost_docs=[
+            {
+                "name": f"FromRegion{region}",
+                "kind": "source",
+                "sources": [location_to_str(e) for e in dc_edges],
+            }
+        ],
+        safety=[
+            SafetySpec(
+                property=prop,
+                invariants_default=problem.invariants.default,
+                invariants_overrides=dict(problem.invariants._overrides),
+            )
+            for prop in problem.properties
+        ],
+    )
+    return spec_to_json(spec)
+
+
+def _benign_wan_edit(config) -> None:
+    """Prepend a no-effect deny (unused prefix) to one router's import."""
+    from repro.bgp.policy import Disposition, MatchPrefix, RouteMap, RouteMapClause
+    from repro.bgp.prefix import PrefixRange
+
+    router = sorted(config.routers)[0]
+    neighbor_name = sorted(config.routers[router].neighbors)[0]
+    neighbor = config.routers[router].neighbors[neighbor_name]
+    deny = RouteMapClause(
+        1,
+        Disposition.DENY,
+        matches=(MatchPrefix((PrefixRange.parse("203.0.113.0/24 le 32"),)),),
+    )
+    if neighbor.import_map is None:
+        neighbor.import_map = RouteMap("EDIT-IN", (deny,))
+    else:
+        neighbor.import_map = RouteMap(
+            neighbor.import_map.name, (deny,) + neighbor.import_map.clauses
+        )
+
+
+def test_wan_reverify_cold_and_warm_reports_identical(tmp_path, capsys):
+    # The WAN ip-reuse family is the stock workload whose checks conflict
+    # and learn clauses: a cold reverify (base run in this process) and a
+    # warm one (base outcomes from the cache) must print the same verdicts.
+    from repro.workloads.wan import build_wan
+
+    wan = build_wan(regions=2, routers_per_region=3)
+    (tmp_path / "base.json").write_text(config_to_json(wan.config))
+    edited = build_wan(regions=2, routers_per_region=3).config
+    _benign_wan_edit(edited)
+    (tmp_path / "edited.json").write_text(config_to_json(edited))
+    (tmp_path / "spec.json").write_text(_wan_spec_json(wan))
+    args = ["reverify", str(tmp_path / "base.json"), str(tmp_path / "edited.json"),
+            str(tmp_path / "spec.json"), "--cache", str(tmp_path / "cachedir")]
+
+    assert main(args) == 0
+    cold_out = capsys.readouterr().out
+    assert "base run skipped" not in cold_out
+    assert main(args) == 0
+    warm_out = capsys.readouterr().out
+    assert "base run skipped" in warm_out
+
+    def reports(text):
+        # Keep the verdicts and consultation counters, drop the timings.
+        return [
+            line.split(" — ")[0] for line in text.splitlines()
+            if "safety at" in line or "reverify: consulted" in line
+        ]
+
+    assert reports(warm_out) == reports(cold_out)
+    assert any("PASSED" in line for line in reports(warm_out))
+
+
 def test_verify_cache_cold_then_warm_consults_nothing(cache_setup, capsys):
     s = cache_setup
     assert main(["verify", s["base"], s["spec"], "--cache", s["cache"]]) == 0
@@ -188,6 +279,38 @@ def test_cache_rejects_config_digest_mismatch(cache_setup, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "different configuration" in err
+
+
+def test_cache_rejects_previous_format(cache_setup, capsys):
+    # A cache written by a format-3 build (a flat state dict carrying a
+    # learnt-clause section) must be refused with a readable instruction.
+    import hashlib
+    import pickle
+
+    from repro.core.workspace import CACHE_FORMAT
+
+    s = cache_setup
+    assert main(["verify", s["base"], s["spec"], "--cache", s["cache"]]) == 0
+    capsys.readouterr()
+    cache_file = Path(s["cache"]) / "workspace.lyc"
+    with open(cache_file, "rb") as handle:
+        header = pickle.load(handle)
+        state = pickle.load(handle)
+    assert header["format"] == CACHE_FORMAT == 4
+    solver_blob = pickle.dumps({})
+    state.update(
+        format=3,
+        solver_state=solver_blob,
+        solver_state_sha=hashlib.sha256(solver_blob).hexdigest(),
+    )
+    cache_file.write_bytes(pickle.dumps(state))
+
+    code = main(["reverify", s["base"], s["edited"], s["spec"], "--cache", s["cache"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "has format 3" in err
+    assert "delete it and rerun" in err
+    assert "Traceback" not in err
 
 
 def test_cache_rejects_corrupt_file(cache_setup, capsys):
