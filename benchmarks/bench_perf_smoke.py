@@ -84,3 +84,13 @@ def test_perf_smoke_fullmesh(benchmark, mode, parallel, backend):
     # backend's per-worker pools keep their own counters, so jobs2 may
     # read 0.
     benchmark.extra_info["shared_skips"] = pool.stats()["shared_skips"]
+    # Verdict memo: SAT discharges against checks answered from the memo.
+    # In-process too, so jobs2 reads 0/0 when its workers run.
+    benchmark.extra_info["sat_discharges"] = pool.checks_discharged
+    benchmark.extra_info["memo_hits"] = pool.stats()["memo_hits"]
+    if mode == "serial":
+        # A deterministic gate, free of wall-clock noise: the sweep poses a
+        # handful of distinct queries, so the memo must answer the rest of
+        # its 1251 checks without a SAT call.
+        assert pool.checks_discharged <= 10
+        assert pool.checks_discharged + pool.stats()["memo_hits"] == report.num_checks

@@ -373,9 +373,10 @@ def canonical_policy(obj: object) -> object:
 #: concurrency-discipline checker): the digest of a route map is a pure
 #: function of its value, so racing writers store identical strings and
 #: a lost update only repeats the hash.  Dict writes are GIL-atomic.
-SHARED_STATE = ("_route_map_digests",)
+SHARED_STATE = ("_route_map_digests", "_clause_digests")
 
 _route_map_digests: dict[RouteMap, str] = {}
+_clause_digests: dict[tuple[RouteMapClause, ...], str] = {}
 
 
 def clear_route_map_digest_memo() -> None:
@@ -386,6 +387,7 @@ def clear_route_map_digest_memo() -> None:
     configurations can reclaim them here.
     """
     _route_map_digests.clear()
+    _clause_digests.clear()
 
 
 def route_map_digest(route_map: RouteMap | None) -> str:
@@ -400,4 +402,22 @@ def route_map_digest(route_map: RouteMap | None) -> str:
     if digest is None:
         digest = hashlib.sha256(repr(canonical_policy(route_map)).encode()).hexdigest()
         _route_map_digests[route_map] = digest
+    return digest
+
+
+def route_map_body_digest(route_map: RouteMap | None) -> str:
+    """Like :func:`route_map_digest`, but blind to the map's name.
+
+    What a route map does is its clauses, so two maps that differ only in
+    name transfer routes identically; the term and verdict memos key on
+    this digest.  ``-`` still means "no filter" (permit all), distinct from
+    an empty map (deny all).
+    """
+    if route_map is None:
+        return "-"
+    clauses = route_map.clauses
+    digest = _clause_digests.get(clauses)
+    if digest is None:
+        digest = hashlib.sha256(repr(canonical_policy(clauses)).encode()).hexdigest()
+        _clause_digests[clauses] = digest
     return digest

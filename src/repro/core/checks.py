@@ -5,22 +5,31 @@ edge — the unit of Lightyear's scalability claim.  Checks carry enough
 metadata to localise a failure to the exact router, direction, and route
 map, and to render the violated implication.
 
-A check can be discharged hermetically (a fresh :class:`repro.smt.Solver`
-per query) or against a shared :class:`repro.smt.CheckSession`, which
-reuses the bit-blasted, Tseitin-encoded transfer-function fragments across
-the checks that share them — see :func:`repro.core.safety.run_checks`,
-which routes checks to one session per owner router (drawn from a
-persistent :class:`repro.smt.SessionPool` when the caller supplies one).
-Term construction itself is also reused: the transfer functions called
-from ``run`` are memoised by policy content in :mod:`repro.lang.transfer`,
-so two edges running the same filter build their symbolic relation once.
+A check can be discharged hermetically (``LocalCheck.run`` with no
+session: a fresh :class:`repro.smt.Solver` per query, the reference every
+reuse mechanism is tested against) or through :func:`discharge`, which
+every execution backend uses.  ``discharge`` consults the verdict memo of
+a :class:`repro.smt.SessionPool` first.  Its key, :func:`verdict_key`, is
+what the outcome depends on, computed before any term is built: the check
+kind, the transfer key of the edge's filter (the same
+:func:`repro.lang.transfer.transfer_key` the transfer-term cache uses),
+the assumption and goal predicates, and the attribute universe.  A real
+network applies the same filter, by content, on many edges, so most checks
+are answered there with no term construction, lowering or solve; the
+answer is re-wrapped so a failure still names its own edge and route map.
+Only a miss touches a solver: it runs in the owner router's
+:class:`repro.smt.CheckSession`, created and prepared on first use, which
+reuses the bit-blasted, Tseitin-encoded fragments of earlier misses.
+Term construction is shared too: the transfer functions called from
+``run`` are memoised by policy content in :mod:`repro.lang.transfer`.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from repro import smt
 from repro.bgp.config import NetworkConfig
@@ -31,7 +40,13 @@ from repro.core.properties import Location
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import Predicate, predicate_term
 from repro.lang.symroute import SymbolicRoute
-from repro.lang.transfer import symbolic_originated, transfer_export, transfer_import
+from repro.lang.transfer import (
+    originate_key,
+    symbolic_originated,
+    transfer_export,
+    transfer_import,
+    transfer_key,
+)
 from repro.lang.universe import AttributeUniverse
 from repro.smt.solver import SolverStats
 from repro.testing import faults
@@ -327,10 +342,100 @@ def prepare_session(session: "smt.CheckSession", universe: AttributeUniverse) ->
     well-formedness constraint, so it is sound to assert it once into the
     session's clause DB; each check then skips it as an assumption
     (originate checks use constant, variable-disjoint routes and are
-    unaffected).
+    unaffected).  Idempotent, so :func:`discharge` calls it on every memo
+    miss.
     """
     route = SymbolicRoute.fresh("r", universe)
     session.prepare(shared=(route.well_formed(),))
+
+
+def verdict_key(
+    check: LocalCheck,
+    config: NetworkConfig,
+    universe: AttributeUniverse,
+    ghosts: Sequence[GhostAttribute],
+) -> tuple:
+    """Everything ``check``'s verdict depends on, computed before any term.
+
+    A filter check's query is fixed by its transfer key (direction, the
+    name-blind policy digest, the eBGP prepend, the ghost updates), its two
+    predicates and the universe its fresh input route ranges over.  An
+    originate check's is fixed by the originated routes and the ghosts'
+    originated values; an implication's by its predicates and universe.
+    Edge and router names are deliberately absent: that is what lets the
+    same filter on many edges share one answer.
+    """
+    kind = check.kind
+    source: tuple | None = None
+    if kind is CheckKind.ORIGINATE:
+        assert check.edge is not None
+        source = originate_key(config, check.edge, universe, ghosts)
+    elif kind is not CheckKind.IMPLICATION:
+        assert check.edge is not None
+        direction = (
+            "import" if kind in (CheckKind.IMPORT, CheckKind.PROPAGATE_IMPORT) else "export"
+        )
+        source = transfer_key(config, check.edge, ghosts, direction)
+    return (kind, source, check.assumption, check.goal, universe)
+
+
+def discharge(
+    check: LocalCheck,
+    sessions: "smt.SessionPool",
+    config: NetworkConfig,
+    universe: AttributeUniverse,
+    ghosts: tuple[GhostAttribute, ...] = (),
+    conflict_budget: int | None = None,
+    deadline_s: float | None = None,
+    run_deadline: float | None = None,
+) -> "CheckOutcome":
+    """Answer ``check`` from ``sessions``' verdict memo, or solve and store it.
+
+    This is the one discharge path of every backend.  ``run_deadline`` is
+    the run's absolute ``time.monotonic()`` wall budget: once it has passed
+    the check is skipped as UNKNOWN/``wall-budget``, and before that it
+    tightens ``deadline_s``.  A memo hit builds no term and creates no
+    session; it carries zeroed solver stats, so time and effort sums count
+    real work only.  The fault hook fires once per check either way, and a
+    hit whose deadline has already expired is UNKNOWN/``timeout``, just as
+    the solver answers when it samples an expired deadline on entry.
+    UNKNOWN answers are never stored: they depend on budgets, not on the
+    query.
+    """
+    if run_deadline is not None:
+        remaining = run_deadline - time.monotonic()
+        if remaining <= 0.0:
+            return skipped_outcome(check, "wall-budget")
+        deadline_s = remaining if deadline_s is None else min(deadline_s, remaining)
+    key = verdict_key(check, config, universe, ghosts)
+    known: CheckOutcome | None = sessions.recall(key)
+    if known is None:
+        session = sessions.get(check_owner(check))
+        prepare_session(session, universe)
+        outcome = check.run(
+            config, universe, ghosts, conflict_budget,
+            session=session, deadline_s=deadline_s,
+        )
+        if not outcome.unknown:
+            sessions.remember(key, outcome)
+        return outcome
+    deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
+    faults.on_check_start(check, deadline_abs)
+    if deadline_abs is not None and time.monotonic() >= deadline_abs:
+        return CheckOutcome(
+            check=check,
+            passed=False,
+            stats=SolverStats(unknown_reason="timeout"),
+            unknown=True,
+            unknown_reason="timeout",
+        )
+    failure = known.failure
+    if failure is not None:
+        # The witness answers the shared query; the blame is this check's.
+        failure = replace(failure, check=check)
+    return CheckOutcome(
+        check=check, passed=known.passed, stats=SolverStats(), failure=failure
+    )
 
 
 def _merge_stats(a: SolverStats, b: SolverStats) -> SolverStats:

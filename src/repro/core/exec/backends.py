@@ -4,10 +4,10 @@ A :class:`Backend` turns a :class:`BatchRequest` — the flattened checks
 of the groups a :class:`~repro.core.exec.scheduler.Scheduler` round found
 ready — into outcomes, in request order.  Two strategies exist:
 
-* :class:`SerialBackend` — in-process, one shared
-  :class:`~repro.smt.solver.CheckSession` per owner router.  This is the
-  path the process strategy degrades to, and the only one that can stop
-  *between* checks when a run deadline expires.
+* :class:`SerialBackend` — in-process, through one
+  :class:`~repro.smt.solver.SessionPool` (verdict memo, then one shared
+  :class:`~repro.smt.solver.CheckSession` per owner router).  This is the
+  path the process strategy degrades to.
 * :class:`ProcessBackend` — the paper's deployment model: checks chunked
   by owner router and discharged by worker *processes*.  Wraps either a
   persistent :class:`~repro.core.exec.pool.WorkerPool` (sessions live in
@@ -23,13 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.checks import (
-    CheckOutcome,
-    LocalCheck,
-    check_owner,
-    prepare_session,
-    skipped_outcome,
-)
+from repro.core.checks import CheckOutcome, LocalCheck, discharge
 from repro.core.exec.plan import CheckGroup
 from repro.core.exec.pool import WorkerPool, run_checks_in_processes
 from repro.smt.solver import SessionPool
@@ -64,18 +58,11 @@ class BatchRequest:
         if self.run_deadline is not None:
             remaining = self.run_deadline - time.monotonic()
             if remaining <= 0.0:
-                # Callers check expired() first; this guards the race
-                # between that sample and this one, so a negative
-                # remainder never flows into a solve as "no deadline".
+                # A negative remainder must never flow into a solve as
+                # "no deadline": an expired run budget is a zero deadline.
                 remaining = 0.0
             effective = remaining if effective is None else min(effective, remaining)
         return effective
-
-    def expired(self) -> bool:
-        return (
-            self.run_deadline is not None
-            and time.monotonic() >= self.run_deadline
-        )
 
 
 class Backend(Protocol):
@@ -89,7 +76,12 @@ class Backend(Protocol):
 
 
 class SerialBackend:
-    """In-process execution over shared per-owner sessions."""
+    """In-process execution through one :class:`SessionPool`.
+
+    Each check goes through :func:`repro.core.checks.discharge`: the pool's
+    verdict memo first, then the owner's session on a miss.  Sessions and
+    verdicts persist on the pool across batches.
+    """
 
     name = "serial"
 
@@ -97,43 +89,19 @@ class SerialBackend:
         self.sessions = sessions
 
     def run(self, request: BatchRequest) -> list[CheckOutcome]:
-        outcomes: list[CheckOutcome] = []
-        for group in request.groups:
-            outcomes.extend(self.run_group(request, group))
-        return outcomes
-
-    def run_group(
-        self, request: BatchRequest, group: CheckGroup
-    ) -> list[CheckOutcome]:
-        """Discharge one group serially; sessions persist on the pool.
-
-        The first touch of an owner's session within a group pre-asserts
-        the owner route's well-formedness (idempotent across groups).
-        """
-        checks = list(group.checks)
-        prepared: set[int] = set()
-        outcomes: list[CheckOutcome] = []
-        for check in checks:
-            if request.expired():
-                outcomes.append(skipped_outcome(check, "wall-budget"))
-                continue
-            effective = request.effective_deadline()
-            owner = check_owner(check)
-            session = self.sessions.get(owner)
-            if id(session) not in prepared:
-                prepared.add(id(session))
-                prepare_session(session, request.universe)
-            outcomes.append(
-                check.run(
-                    request.config,
-                    request.universe,
-                    request.ghosts,
-                    request.conflict_budget,
-                    session=session,
-                    deadline_s=effective,
-                )
+        return [
+            discharge(
+                check,
+                self.sessions,
+                request.config,
+                request.universe,
+                request.ghosts,
+                request.conflict_budget,
+                deadline_s=request.deadline_s,
+                run_deadline=request.run_deadline,
             )
-        return outcomes
+            for check in request.checks
+        ]
 
 
 class ProcessBackend:

@@ -5,8 +5,11 @@ per device; this module is the reproduction of that execution model.  The
 driver chunks a check list by owner router (:func:`repro.core.checks.
 check_owner`), ships the immutable problem context — configuration,
 attribute universe, ghosts, conflict budget — to each worker exactly once,
-and runs every chunk against a per-owner :class:`repro.smt.CheckSession`
-so the shared encoding stays hot within a worker.  Outcomes (including
+and discharges every chunk through the worker's own
+:class:`repro.smt.SessionPool` (:func:`repro.core.checks.discharge`): a
+query the worker has already answered is served from the pool's verdict
+memo, and a new one is solved in a per-owner :class:`repro.smt.
+CheckSession` so the shared encoding stays hot.  Outcomes (including
 counterexamples) are plain picklable dataclasses and stream back tagged
 with their original index, so callers see results in input order
 regardless of scheduling.
@@ -14,7 +17,7 @@ regardless of scheduling.
 Two execution models share that chunking:
 
 * :func:`run_checks_in_processes` — a one-shot ``ProcessPoolExecutor``
-  whose workers die with the call; sessions live for one chunk.
+  whose workers die with the call; each worker's pool lives for the call.
 * :class:`WorkerPool` — *persistent* worker processes that survive across
   ``run_checks`` calls.  Each worker keeps an owner-keyed
   :class:`repro.smt.SessionPool` for its whole life and caches every
@@ -27,7 +30,8 @@ Two execution models share that chunking:
   databases earlier calls already built instead of re-encoding from
   scratch.  This is the process-backend analogue of passing one
   ``SessionPool`` through the serial path; ``stats()`` reports the
-  resulting owner→worker load balance.
+  resulting owner→worker load balance, and ``memo_hits`` sums the
+  verdict-memo hits the workers report with each chunk.
 
 Process pools are not universally available (sandboxes without semaphores,
 restricted spawn semantics); both models degrade gracefully — ``None`` is
@@ -52,9 +56,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.checks import check_owner, prepare_session, skipped_outcome
+from repro.core.checks import check_owner, discharge, skipped_outcome
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
-from repro.smt.solver import CheckSession, SessionPool
+from repro.smt.solver import SessionPool
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -66,6 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 # Per-worker problem context, installed once by the pool initializer so the
 # (comparatively large) config/universe payload is not re-pickled per task.
+# Its last element is the worker's SessionPool: sessions and the verdict
+# memo live as long as the worker, across the chunks it is handed.
 _WORKER_CONTEXT: tuple | None = None
 
 
@@ -78,7 +84,9 @@ def _init_worker(
     deadline_s: float | None = None,
 ) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (config, universe, ghosts, conflict_budget, deadline_s)
+    _WORKER_CONTEXT = (
+        config, universe, ghosts, conflict_budget, deadline_s, SessionPool()
+    )
     # Mirror the parent's transfer-memoisation switch: workers rebuild
     # their own caches from the shipped config/universe (term graphs don't
     # pickle usefully), but a cache-off differential run must stay cache-off
@@ -86,24 +94,46 @@ def _init_worker(
     set_transfer_cache_enabled(cache_enabled)
 
 
-def _run_chunk(
-    indexed_checks: list[tuple[int, "LocalCheck"]],
+def _discharge_chunk(
+    sessions: SessionPool,
+    indexed_checks: "Iterable[tuple[int, LocalCheck]]",
+    config: "NetworkConfig",
+    universe: "AttributeUniverse",
+    ghosts: tuple["GhostAttribute", ...],
+    conflict_budget: int | None,
+    deadline_s: float | None,
+    run_deadline: float | None = None,
 ) -> list[tuple[int, "CheckOutcome"]]:
-    """Discharge one owner's checks in this worker, sharing one session."""
-    assert _WORKER_CONTEXT is not None, "worker initializer did not run"
-    config, universe, ghosts, conflict_budget, deadline_s = _WORKER_CONTEXT
-    session = CheckSession()
-    prepare_session(session, universe)
+    """Discharge one chunk's checks through ``sessions``, keeping indexes."""
     return [
         (
             index,
-            check.run(
-                config, universe, ghosts, conflict_budget,
-                session=session, deadline_s=deadline_s,
+            discharge(
+                check, sessions, config, universe, ghosts, conflict_budget,
+                deadline_s=deadline_s, run_deadline=run_deadline,
             ),
         )
         for index, check in indexed_checks
     ]
+
+
+def _run_chunk(
+    indexed_checks: list[tuple[int, "LocalCheck"]],
+) -> list[tuple[int, "CheckOutcome"]]:
+    """Discharge one owner's checks through this worker's session pool."""
+    assert _WORKER_CONTEXT is not None, "worker initializer did not run"
+    config, universe, ghosts, conflict_budget, deadline_s, sessions = _WORKER_CONTEXT
+    return _discharge_chunk(
+        sessions, indexed_checks, config, universe, ghosts, conflict_budget, deadline_s
+    )
+
+
+def _encoding(sessions: SessionPool, owner: object) -> tuple[int, int]:
+    """``(vars, clauses)`` of ``owner``'s session; zero if it has none yet."""
+    session = sessions.peek(owner)
+    if session is None:
+        return (0, 0)
+    return (session.total_vars, session.total_clauses)
 
 
 def chunk_by_owner(
@@ -215,41 +245,19 @@ def _persistent_worker_main(
             # earlier context may follow a context with the other setting.
             set_transfer_cache_enabled(cache_enabled)
             owner = check_owner(indexed_checks[0][1])
-            session = sessions.get(owner)
-            prepare_session(session, universe)
-            vars_before = session.total_vars
-            clauses_before = session.total_clauses
-            pairs = []
-            for index, check in indexed_checks:
-                # Effective per-check deadline: the tighter of the check
-                # budget and what is left of the run's wall budget
-                # (``run_deadline`` is absolute CLOCK_MONOTONIC, which is
-                # system-wide on Linux, so the parent's timestamp is
-                # directly comparable here).  An already-expired budget
-                # short-circuits before encoding: without this, every
-                # remaining check in the chunk still paid its full setup
-                # cost only for the solve to time out instantly.
-                if run_deadline is not None and time.monotonic() >= run_deadline:
-                    pairs.append((index, skipped_outcome(check, "wall-budget")))
-                    continue
-                effective = deadline_s
-                if run_deadline is not None:
-                    remaining = run_deadline - time.monotonic()
-                    effective = remaining if effective is None else min(effective, remaining)
-                pairs.append(
-                    (
-                        index,
-                        check.run(
-                            config, universe, ghosts, conflict_budget,
-                            session=session, deadline_s=effective,
-                        ),
-                    )
-                )
-            grew = (
-                session.total_vars - vars_before,
-                session.total_clauses - clauses_before,
+            vars_before, clauses_before = _encoding(sessions, owner)
+            hits_before = sessions.memo_hits
+            # ``run_deadline`` is absolute CLOCK_MONOTONIC, which is
+            # system-wide on Linux, so the parent's timestamp is directly
+            # comparable here.
+            pairs = _discharge_chunk(
+                sessions, indexed_checks, config, universe, ghosts,
+                conflict_budget, deadline_s, run_deadline,
             )
-            reply = (run_id, chunk_index, "ok", owner, pairs, grew)
+            vars_after, clauses_after = _encoding(sessions, owner)
+            grew = (vars_after - vars_before, clauses_after - clauses_before)
+            hits = sessions.memo_hits - hits_before
+            reply = (run_id, chunk_index, "ok", owner, pairs, grew, hits)
         except Exception as exc:  # genuine check failure: ship it back
             reply = (run_id, chunk_index, "error", exc)
         try:
@@ -345,6 +353,7 @@ class WorkerPool:
         # Reuse telemetry (tests and benchmarks read these).
         self.contexts_shipped = 0
         self.chunks_run = 0
+        self.memo_hits = 0  # summed from chunk replies
         self.last_encoding_growth: dict[object, tuple[int, int]] = {}
         # Degradation telemetry (see stats()).
         self.worker_respawns = 0
@@ -547,24 +556,12 @@ class WorkerPool:
         if self._parent_sessions is None:
             self._parent_sessions = SessionPool()
         for chunk_index in chunk_indices:
-            chunk = chunks[chunk_index]
-            owner = check_owner(chunk[0][1])
-            session = self._parent_sessions.get(owner)
-            prepare_session(session, universe)
-            for index, check in chunk:
-                if outcomes[index] is not None:
-                    continue
-                if run_deadline is not None and time.monotonic() >= run_deadline:
-                    outcomes[index] = skipped_outcome(check, "wall-budget")
-                    continue
-                effective = deadline_s
-                if run_deadline is not None:
-                    remaining = run_deadline - time.monotonic()
-                    effective = remaining if effective is None else min(effective, remaining)
-                outcomes[index] = check.run(
-                    config, universe, ghosts, conflict_budget,
-                    session=session, deadline_s=effective,
-                )
+            todo = [(i, check) for i, check in chunks[chunk_index] if outcomes[i] is None]
+            for index, outcome in _discharge_chunk(
+                self._parent_sessions, todo, config, universe, ghosts,
+                conflict_budget, deadline_s, run_deadline,
+            ):
+                outcomes[index] = outcome
             pending.discard(chunk_index)
 
     # -- dispatch ------------------------------------------------------
@@ -687,6 +684,9 @@ class WorkerPool:
             "contexts_shipped": self.contexts_shipped,
             "chunks_run": self.chunks_run,
             "learnts_seeded": 0,  # no learnt clauses ship; lybench/counters.py reads it
+            "memo_hits": self.memo_hits + (
+                0 if self._parent_sessions is None else self._parent_sessions.memo_hits
+            ),
             "serial_fallbacks": self.serial_fallbacks,
             "last_fallback_reason": self.last_fallback_reason,
             "worker_respawns": self.worker_respawns,
@@ -821,9 +821,10 @@ class WorkerPool:
                 return ("machinery", None)
             if status == "error":
                 return ("error", rest[0])
-            owner, pairs, grew = rest
+            owner, pairs, grew, hits = rest
             for index, outcome in pairs:
                 outcomes[index] = outcome
+            self.memo_hits += hits
             old = growth.get(owner, (0, 0))
             growth[owner] = (old[0] + grew[0], old[1] + grew[1])
             pending.discard(chunk_index)

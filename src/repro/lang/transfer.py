@@ -22,9 +22,10 @@ originated`` are therefore memoised.  The cache key is everything the
 output depends on — never the edge or router name itself:
 
 * the **policy content digest** of the route map applied on the edge
-  (:func:`repro.bgp.policy.route_map_digest`, order-canonical, ``-`` for
-  "no filter"); for exports additionally the prepended own ASN when the
-  session is eBGP (``None`` otherwise);
+  (:func:`repro.bgp.policy.route_map_body_digest`, order-canonical and
+  blind to the map's name, ``-`` for "no filter"); for exports
+  additionally the prepended own ASN when the session is eBGP (``None``
+  otherwise);
 * the **direction** (import/export) — i.e. which concrete semantics apply;
 * the **peer-class ghost updates**: the sorted ``(name, value)`` pairs of
   ghost constants written on this edge in this direction.  Edges whose
@@ -34,6 +35,11 @@ output depends on — never the edge or router name itself:
   :class:`SymbolicRoute` plus its universe.  Terms are hash-consed, so
   the canonical fresh route ``r`` of a sweep keys identically across all
   checks, while chained liveness inputs key by their own structure.
+
+Everything but the input route is :func:`transfer_key` (and, for
+originated routes, :func:`originate_key`).  The verdict memo of
+:func:`repro.core.checks.discharge` keys on the same functions, so the
+two memos cannot disagree about what a transfer depends on.
 
 Invalidation: cached values are interned-term graphs, so the caches are
 registered with :func:`repro.smt.terms.register_intern_dependent` and die
@@ -82,7 +88,7 @@ from repro.bgp.policy import (
     SetOrigin,
     canonical_policy,
     clear_route_map_digest_memo,
-    route_map_digest,
+    route_map_body_digest,
 )
 from repro.bgp.topology import Edge
 from repro.lang.ghost import GhostAttribute
@@ -209,6 +215,54 @@ def _ghost_update_key(
         if update is not None:
             applied.append((ghost.name, update))
     return tuple(sorted(applied))
+
+
+def _prepend_asn(config: NetworkConfig, edge: Edge) -> int | None:
+    """The ASN an export on ``edge`` prepends: the sender's, on eBGP only."""
+    if edge.src in config.routers and config.is_ebgp(edge):
+        return config.routers[edge.src].asn
+    return None
+
+
+def transfer_key(
+    config: NetworkConfig,
+    edge: Edge,
+    ghosts: Sequence[GhostAttribute],
+    direction: str,
+) -> tuple:
+    """Everything ``Import``/``Export`` on ``edge`` depends on but its input.
+
+    The direction, the name-blind digest of the edge's route map, for
+    exports the prepended ASN, and the ghost updates written on the edge.
+    Two edges with equal keys transfer every input route identically.
+    """
+    if direction == "import":
+        return (
+            "import",
+            route_map_body_digest(config.import_map(edge)),
+            _ghost_update_key(edge, ghosts, "import"),
+        )
+    return (
+        "export",
+        route_map_body_digest(config.export_map(edge)),
+        _prepend_asn(config, edge),
+        _ghost_update_key(edge, ghosts, "export"),
+    )
+
+
+def originate_key(
+    config: NetworkConfig,
+    edge: Edge,
+    universe,
+    ghosts: Sequence[GhostAttribute],
+) -> tuple:
+    """Everything ``Originate(edge)``'s symbolic routes depend on."""
+    return (
+        "originate",
+        universe,
+        tuple(canonical_policy(route) for route in config.originate(edge)),
+        tuple(sorted((g.name, g.originated_value) for g in ghosts)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +404,7 @@ def transfer_import(
     """``Import(edge, r)`` as (accepted, r'), with ghost updates applied."""
     if not _cache_enabled:
         return _transfer_import_uncached(config, edge, route, ghosts)
-    key = (
-        "import",
-        route_map_digest(config.import_map(edge)),
-        _ghost_update_key(edge, ghosts, "import"),
-        _route_key(route),
-    )
+    key = transfer_key(config, edge, ghosts, "import") + (_route_key(route),)
     cached = _transfer_cache.get(key)
     if cached is not None:
         _stats.hits += 1
@@ -384,26 +433,15 @@ def transfer_export(
     ghosts: Sequence[GhostAttribute] = (),
 ) -> tuple[Term, SymbolicRoute]:
     """``Export(edge, r)`` as (accepted, r'), with prepend and ghosts."""
-    prepend_asn = (
-        config.routers[edge.src].asn
-        if edge.src in config.routers and config.is_ebgp(edge)
-        else None
-    )
     if not _cache_enabled:
-        return _transfer_export_uncached(config, edge, route, ghosts, prepend_asn)
-    key = (
-        "export",
-        route_map_digest(config.export_map(edge)),
-        prepend_asn,
-        _ghost_update_key(edge, ghosts, "export"),
-        _route_key(route),
-    )
+        return _transfer_export_uncached(config, edge, route, ghosts)
+    key = transfer_key(config, edge, ghosts, "export") + (_route_key(route),)
     cached = _transfer_cache.get(key)
     if cached is not None:
         _stats.hits += 1
         return cached
     _stats.misses += 1
-    result = _transfer_export_uncached(config, edge, route, ghosts, prepend_asn)
+    result = _transfer_export_uncached(config, edge, route, ghosts)
     _transfer_cache[key] = result
     return result
 
@@ -413,9 +451,9 @@ def _transfer_export_uncached(
     edge: Edge,
     route: SymbolicRoute,
     ghosts: Sequence[GhostAttribute],
-    prepend_asn: int | None,
 ) -> tuple[Term, SymbolicRoute]:
     accepted, output = transfer_route_map(config.export_map(edge), route)
+    prepend_asn = _prepend_asn(config, edge)
     if prepend_asn is not None:
         output = output.with_as_path_member(prepend_asn, smt.true())
         output = output.with_field(
@@ -435,12 +473,7 @@ def symbolic_originated(
     originated = config.originate(edge)
     if not _cache_enabled:
         return _symbolic_originated_uncached(originated, universe, ghosts)
-    key = (
-        "originate",
-        universe,
-        tuple(canonical_policy(route) for route in originated),
-        tuple(sorted((g.name, g.originated_value) for g in ghosts)),
-    )
+    key = originate_key(config, edge, universe, ghosts)
     cached = _originate_cache.get(key)
     if cached is not None:
         _stats.hits += 1

@@ -19,6 +19,12 @@ Two entry points share the same bit-blast → Tseitin → CDCL pipeline:
   learnt clauses carry over between checks without affecting any later
   answer.
 
+A :class:`SessionPool` holds one session per owner router, created on
+first use, plus a verdict memo: decided answers keyed by what a check's
+outcome depends on, so a query repeated on many edges is solved once per
+pool (:func:`repro.core.checks.discharge` computes the key and never
+stores UNKNOWN).
+
 ``Model`` evaluates *original* terms (including bit-vectors) against the
 SAT assignment so callers never see the bit-level encoding.  ``prove``
 wraps the refutation idiom used throughout Lightyear: a check ``A => B``
@@ -30,7 +36,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, KeysView, Sequence
+from typing import Any, Hashable, Iterable, KeysView, Sequence
 
 from repro.smt import terms as T
 from repro.smt.bitblast import Bitblaster
@@ -492,9 +498,9 @@ class CheckSession:
 
 
 class SessionPool:
-    """A keyed pool of long-lived :class:`CheckSession` instances.
+    """Long-lived :class:`CheckSession` instances plus a verdict memo.
 
-    The intended key is the owner router of a check group
+    Sessions are keyed by the owner router of a check group
     (:func:`repro.core.checks.check_owner`; ``None`` for invariant-only
     checks).  Passing one pool across many ``run_checks`` calls makes the
     per-owner encodings persistent: a re-verification or a later property
@@ -504,28 +510,55 @@ class SessionPool:
     under assumptions — so a pool never needs invalidation for correctness;
     ``drop`` exists to bound memory when an owner's policy is gone for good.
 
+    The **verdict memo** maps a check's content key
+    (:func:`repro.core.checks.verdict_key`: kind, transfer key, predicates,
+    universe) to its decided outcome, so each distinct query is solved once
+    per pool however many edges repeat it.  It is keyed by content, not by
+    owner, so ``drop`` leaves it alone and ``clear`` empties it.  The pool
+    treats keys and values as opaque; :func:`repro.core.checks.discharge`
+    never stores UNKNOWN.  The memo is process-local and never pickled.
+
     Pools live wherever reuse pays: a :class:`repro.core.workspace.
     Workspace` keeps one across ``reverify`` calls, the Table-4 sweeps
     hoist one above their property-family loops, ``verify_liveness``
     shares one across propagation, implication, and every no-interference
     sub-proof, and each :class:`repro.core.exec.WorkerPool` worker process
-    holds its own pool for the checks routed to it.  Sessions are never
-    shipped between processes or persisted: only outcomes are.
+    holds its own pool for the checks routed to it.  Sessions and verdicts
+    are never shipped between processes or persisted: only outcomes are.
     """
 
     def __init__(self) -> None:
         self._sessions: dict[object, CheckSession] = {}
+        self._verdicts: dict[Hashable, Any] = {}
         self.created = 0
+        self.memo_hits = 0
 
     def stats(self) -> dict[str, int]:
-        """Aggregated session counters across the pool."""
+        """Aggregated session and memo counters across the pool.
+
+        ``checks_discharged`` counts real SAT discharges; checks answered
+        from the memo count in ``memo_hits`` instead.
+        """
         sessions = list(self._sessions.values())
         return {
             "sessions": len(sessions),
             "checks_discharged": self.checks_discharged,
             "shared_skips": sum(s.shared_skips for s in sessions),
             "learnts_kept": sum(len(s._sat._learnts) for s in sessions),
+            "memo_hits": self.memo_hits,
+            "memo_entries": len(self._verdicts),
         }
+
+    def recall(self, key: Hashable) -> Any:
+        """The verdict remembered for ``key``, or ``None``; counts hits."""
+        verdict = self._verdicts.get(key)
+        if verdict is not None:
+            self.memo_hits += 1
+        return verdict
+
+    def remember(self, key: Hashable, verdict: Any) -> None:
+        """Store a decided verdict under its content key."""
+        self._verdicts[key] = verdict
 
     def get(self, key: object) -> CheckSession:
         """The session for ``key``, created on first use."""
@@ -543,6 +576,7 @@ class SessionPool:
 
     def clear(self) -> None:
         self._sessions.clear()
+        self._verdicts.clear()
 
     def keys(self) -> KeysView[object]:
         return self._sessions.keys()

@@ -68,3 +68,21 @@ def customer_liveness_property() -> LivenessProperty:
         constraints=(has_cust, good, good, good, has_cust),
         name="customer-reaches-isp2",
     )
+
+
+def e1_no_transit_problem(config):
+    """No transit from E1 to E2 on a generated network (fullmesh, randomnet).
+
+    Returns ``(ghost, property, invariants)``: routes entering at E1 -> R1
+    must carry the transit community everywhere and never leave on R2 -> E2.
+    """
+    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
+    prop = SafetyProperty(
+        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
+    )
+    invariants = InvariantMap(
+        config.topology,
+        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
+    )
+    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
+    return ghost, prop, invariants

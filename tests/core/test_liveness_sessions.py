@@ -129,14 +129,23 @@ def test_liveness_shares_one_session_per_owner(fig1_config):
 
 def test_implication_check_goes_through_shared_pool(fig1_config):
     """Regression: the final implication used to bypass ``run_checks`` with
-    a hermetic one-shot solver.  Now the ``None``-owner session discharges
-    it together with the sub-proof implications: one liveness implication
-    plus one per no-interference sub-proof (R3 and R2)."""
+    a hermetic one-shot solver.  Now the shared pool answers all three
+    implications — the liveness one plus one per no-interference sub-proof
+    (R3 and R2): the ``None``-owner session solves the two distinct
+    queries, and the R2 sub-proof's, identical to R3's, is a memo hit."""
     pool = SessionPool()
-    verify_liveness(fig1_config, customer_liveness_property(), sessions=pool)
+    report = verify_liveness(fig1_config, customer_liveness_property(), sessions=pool)
     none_session = pool.peek(None)
     assert none_session is not None
-    assert none_session.checks_discharged == 3
+    assert none_session.checks_discharged == 2
+    implications = [
+        o for o in report.iter_outcomes() if o.check.kind is CheckKind.IMPLICATION
+    ]
+    assert len(implications) == 3
+    # Every check of the pipeline was answered by the pool, by a real
+    # discharge or from the memo; none bypassed it.
+    stats = pool.stats()
+    assert stats["checks_discharged"] + stats["memo_hits"] == report.num_checks
 
 
 def test_warm_pool_liveness_adds_no_encoding():

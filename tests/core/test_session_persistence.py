@@ -114,11 +114,18 @@ def test_wan_sweep_shares_one_session_per_owner_across_families():
     assert all(report.passed for __, report in results)
 
     owners = set(wan.config.topology.routers) | {None}
-    assert set(pool.keys()) == owners
-    # One session per owner for the whole sweep — not per family.
-    assert pool.created == len(owners)
-    # Every family discharged its checks through the shared pool.
-    assert pool.checks_discharged == sum(r.num_checks for __, r in results)
+    # One session per owner for the whole sweep — not per family.  Sessions
+    # are created on a memo miss only, so an owner whose every query was
+    # already answered elsewhere never needs one.
+    assert set(pool.keys()) <= owners
+    assert pool.created == len(pool.keys())
+    # Every family's checks were answered by the shared pool: a real
+    # discharge, or a memo hit on a query an earlier check already solved.
+    stats = pool.stats()
+    assert stats["memo_hits"] > 0
+    assert stats["checks_discharged"] + stats["memo_hits"] == sum(
+        r.num_checks for __, r in results
+    )
 
 
 def test_wan_families_after_first_reuse_encodings():

@@ -2,7 +2,7 @@
 
 A :class:`CheckSession` pre-asserts the owner route's well-formedness
 into its clause DB and keeps every learnt clause for the rest of its
-life, across checks and across properties.  Two layers are pinned here:
+life, across checks and across properties.  Three layers are pinned here:
 
 * **SatSolver / CheckSession mechanics** — the learnt-DB cap persists
   across ``solve`` calls, learnt clauses survive between solves, and the
@@ -13,19 +13,22 @@ life, across checks and across properties.  Two layers are pinned here:
   session=None)``) yield identical outcome fingerprints on randomized
   safety configs, fullmesh liveness, and the WAN families whose checks
   actually conflict and learn.  Reuse is a performance policy; it must
-  never change an answer.
+  never change an answer;
+* **The verdict memo** — the pool's memo (see
+  :func:`repro.core.checks.discharge`) against the same hermetic
+  reference on networks with planted bugs: same verdicts, same failing
+  checks, and every failure answered from the memo still names its own
+  check and router and carries a genuine witness.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bgp.topology import Edge
+from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
+from repro.core.checks import CheckKind, check_owner, verdict_key
 from repro.core.liveness import liveness_universe, verify_liveness
-from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import build_universe, verify_safety
-from repro.lang.ghost import GhostAttribute
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
 from repro.smt.sat import SatSolver
 from repro.smt.solver import SessionPool
 from repro.workloads.fullmesh import (
@@ -41,6 +44,8 @@ from repro.workloads.wan_properties import (
     verify_ip_reuse_safety_problems,
     verify_peering_problems,
 )
+
+from tests.core.conftest import e1_no_transit_problem
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +123,6 @@ class TestSessionReuse:
 # ---------------------------------------------------------------------------
 
 
-def _no_transit_problem(config):
-    ghost = GhostAttribute.source_tracker("FromE1", config.topology, [Edge("E1", "R1")])
-    prop = SafetyProperty(
-        location=Edge("R2", "E2"), predicate=Not(GhostIs("FromE1")), name="no-transit"
-    )
-    invariants = InvariantMap(
-        config.topology,
-        default=Implies(GhostIs("FromE1"), HasCommunity(TRANSIT_COMMUNITY)),
-    )
-    invariants.set_edge("R2", "E2", Not(GhostIs("FromE1")))
-    return ghost, prop, invariants
-
-
 def _fingerprint(outcome):
     return (str(outcome.check), outcome.passed, outcome.unknown, outcome.unknown_reason)
 
@@ -151,7 +143,7 @@ def _hermetic_fingerprint(report, config, universe, ghosts):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_differential_safety_random_networks(model, seed):
     config = build_random_network(8, model=model, seed=seed)
-    ghost, prop, invariants = _no_transit_problem(config)
+    ghost, prop, invariants = e1_no_transit_problem(config)
     universe = build_universe(config, invariants, [prop.predicate], (ghost,))
     report = verify_safety(
         config, prop, invariants, ghosts=(ghost,), universe=universe,
@@ -166,11 +158,13 @@ def test_differential_liveness_fullmesh(n):
     config = build_full_mesh(n)
     prop = full_mesh_liveness_property(n)
     universe = liveness_universe(config, prop)
-    report = verify_liveness(config, prop, universe=universe, sessions=SessionPool())
+    pool = SessionPool()
+    report = verify_liveness(config, prop, universe=universe, sessions=pool)
     assert report.passed
     assert _outcome_fingerprint(report) == _hermetic_fingerprint(
         report, config, universe, ()
     )
+    _assert_memo_matches_hermetic([report], pool, config, [universe], [()])
 
 
 def test_differential_wan_with_learnt_traffic():
@@ -207,3 +201,128 @@ def test_differential_wan_with_learnt_traffic():
         assert _outcome_fingerprint(report) == _hermetic_fingerprint(
             report, wan.config, universe, (problem.ghost,)
         )
+
+
+# ---------------------------------------------------------------------------
+# Differential: the verdict memo vs. a hermetic solver per check
+# ---------------------------------------------------------------------------
+
+
+def _plant_strip(config, count=2):
+    """Strip the transit tag on internal imports at ``count`` routers.
+
+    Every planted map has the same clauses under its own name, so all the
+    planted import checks pose one failing query: the first is solved, the
+    rest are answered from the memo and must still blame their own edge.
+    """
+    topo = config.topology
+    chosen = []
+    for edge in sorted(topo.edges):
+        if topo.is_router(edge.src) and topo.is_router(edge.dst) and all(
+            edge.dst != e.dst for e in chosen
+        ):
+            chosen.append(edge)
+        if len(chosen) == count:
+            break
+    for i, edge in enumerate(chosen):
+        config.routers[edge.dst].neighbors[edge.src].import_map = RouteMap(
+            f"STRIP-{i}",
+            (RouteMapClause(10, actions=(DeleteCommunity(TRANSIT_COMMUNITY),)),),
+        )
+    return chosen
+
+
+def _assert_genuine_witness(outcome):
+    check, failure = outcome.check, outcome.failure
+    assert failure.check is check
+    assert failure.blamed_router == check_owner(check)
+    route = failure.input_route
+    if check.kind is CheckKind.ORIGINATE:
+        assert not check.goal.holds(route)
+        return
+    assert check.assumption.holds(route)
+    if check.kind is CheckKind.IMPLICATION:
+        assert not check.goal.holds(route)
+    elif check.kind in (CheckKind.PROPAGATE_IMPORT, CheckKind.PROPAGATE_EXPORT):
+        assert failure.rejected or not check.goal.holds(failure.output_route)
+    else:
+        assert not failure.rejected
+        assert not check.goal.holds(failure.output_route)
+
+
+def _assert_memo_matches_hermetic(reports, pool, config, universes, ghosts):
+    """Same verdicts and failing checks as hermetic runs; genuine witnesses."""
+    for report, universe, ghost_set in zip(reports, universes, ghosts):
+        outcomes = list(report.iter_outcomes())
+        hermetic = [o.check.run(config, universe, ghost_set) for o in outcomes]
+        assert [(o.passed, o.unknown) for o in outcomes] == [
+            (h.passed, h.unknown) for h in hermetic
+        ]
+        assert sorted(str(o.check) for o in outcomes if o.failure) == sorted(
+            str(h.check) for h in hermetic if h.failure
+        )
+        for outcome in outcomes:
+            if outcome.failure is not None:
+                _assert_genuine_witness(outcome)
+    assert pool.stats()["memo_hits"] > 0
+
+
+@pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
+def test_memo_matches_hermetic_on_planted_strip_bug(model):
+    config = build_random_network(8, model=model, seed=0)
+    planted = _plant_strip(config)
+    ghost, prop, invariants = e1_no_transit_problem(config)
+    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
+    pool = SessionPool()
+    report = verify_safety(
+        config, prop, invariants, ghosts=(ghost,), universe=universe, sessions=pool,
+    )
+    assert not report.passed
+    _assert_memo_matches_hermetic([report], pool, config, [universe], [(ghost,)])
+    # Two edges, two owners, one failing query: one entry answers both.
+    failed = {o.check.edge: o for o in report.iter_outcomes() if o.failure}
+    strip_failures = [
+        failed[edge] for edge in planted
+        if edge in failed and failed[edge].check.kind is CheckKind.IMPORT
+    ]
+    assert len(strip_failures) == 2
+    keys = {verdict_key(o.check, config, universe, (ghost,)) for o in strip_failures}
+    assert len(keys) == 1
+    assert {o.failure.blamed_router for o in strip_failures} == {e.dst for e in planted}
+    assert {o.failure.blamed_policy for o in strip_failures} == {
+        "route-map 'STRIP-0'", "route-map 'STRIP-1'"
+    }
+
+
+def test_memo_matches_hermetic_on_buggy_wan():
+    clean = build_wan(regions=2, routers_per_region=3)
+    wan = build_wan(
+        regions=2,
+        routers_per_region=3,
+        buggy_edge_router=clean.edge_routers[0],
+        adhoc_aspath_router=clean.edge_routers[1],
+        wrong_community_region=1,
+    )
+    pool = SessionPool()
+    ip_reuse = verify_ip_reuse_safety_problems(wan, sessions=pool)
+    peering = verify_peering_problems(wan, sessions=pool)
+    results = ip_reuse + peering
+    assert not all(report.passed for __, report in results)
+
+    def sweep_universe(problems):
+        preds = []
+        for prob in problems:
+            preds.extend(p.predicate for p in prob.properties)
+            preds.append(prob.invariants.default)
+            preds.extend(
+                prob.invariants.get(loc)
+                for loc in prob.invariants.overridden_locations()
+            )
+        return build_universe(wan.config, None, preds, tuple(p.ghost for p in problems))
+
+    universes = [sweep_universe([p for p, __ in ip_reuse])] * len(ip_reuse)
+    universes += [sweep_universe([p for p, __ in peering])] * len(peering)
+    _assert_memo_matches_hermetic(
+        [r for __, r in results], pool, wan.config, universes,
+        [(p.ghost,) for p, __ in results],
+    )
