@@ -20,6 +20,7 @@ from typing import Sequence
 
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
+from repro.hashing import cache_hash
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,7 @@ class Disposition(enum.Enum):
     DENY = "deny"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class RouteMapClause:
     """One numbered clause: disposition, conjunctive matches, actions."""
@@ -284,6 +286,7 @@ class RouteMapClause:
         return route
 
 
+@cache_hash
 @dataclass(frozen=True)
 class RouteMap:
     """An ordered sequence of clauses with first-match semantics."""

@@ -7,21 +7,22 @@ map, and to render the violated implication.
 
 A check can be discharged hermetically (``LocalCheck.run`` with no
 session: a fresh :class:`repro.smt.Solver` per query, the reference every
-reuse mechanism is tested against) or through :func:`discharge`, which
-every execution backend uses.  ``discharge`` consults the verdict memo of
-a :class:`repro.smt.SessionPool` first.  Its key, :func:`verdict_key`, is
-what the outcome depends on, computed before any term is built: the check
-kind, the transfer key of the edge's filter (the same
-:func:`repro.lang.transfer.transfer_key` the transfer-term cache uses),
-the assumption and goal predicates, and the attribute universe.  A real
-network applies the same filter, by content, on many edges, so most checks
-are answered there with no term construction, lowering or solve; the
-answer is re-wrapped so a failure still names its own edge and route map.
-Only a miss touches a solver: it runs in the owner router's
-:class:`repro.smt.CheckSession`, created and prepared on first use, which
-reuses the bit-blasted, Tseitin-encoded fragments of earlier misses.
-Term construction is shared too: the transfer functions called from
-``run`` are memoised by policy content in :mod:`repro.lang.transfer`.
+reuse mechanism is tested against) or through the verdict memo of a
+:class:`repro.smt.SessionPool`, which the :class:`repro.core.exec.
+Scheduler` consults for every check before any backend runs.  The memo's
+key, :func:`verdict_key`, is what the outcome depends on, computed before
+any term is built: the check kind, the transfer key of the edge's filter
+(the same :func:`repro.lang.transfer.transfer_key` the transfer-term cache
+uses), the assumption and goal predicates, and the attribute universe.  A
+real network applies the same filter, by content, on many edges, so most
+checks are answered by :func:`recall` with no term construction, lowering
+or solve; the answer is re-wrapped (:func:`rebind`) so a failure still
+names its own edge and route map.  Only a miss touches a solver:
+:func:`solve` runs it in the owner router's :class:`repro.smt.
+CheckSession`, created and prepared on first use, which reuses the
+bit-blasted, Tseitin-encoded fragments of earlier misses.  Term
+construction is shared too: the transfer functions called from ``run``
+are memoised by policy content in :mod:`repro.lang.transfer`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 from repro import smt
@@ -342,7 +344,7 @@ def prepare_session(session: "smt.CheckSession", universe: AttributeUniverse) ->
     well-formedness constraint, so it is sound to assert it once into the
     session's clause DB; each check then skips it as an assumption
     (originate checks use constant, variable-disjoint routes and are
-    unaffected).  Idempotent, so :func:`discharge` calls it on every memo
+    unaffected).  Idempotent, so :func:`solve` calls it on every memo
     miss.
     """
     route = SymbolicRoute.fresh("r", universe)
@@ -379,46 +381,33 @@ def verdict_key(
     return (kind, source, check.assumption, check.goal, universe)
 
 
-def discharge(
+def recall(
     check: LocalCheck,
+    key: tuple,
     sessions: "smt.SessionPool",
-    config: NetworkConfig,
-    universe: AttributeUniverse,
-    ghosts: tuple[GhostAttribute, ...] = (),
-    conflict_budget: int | None = None,
     deadline_s: float | None = None,
     run_deadline: float | None = None,
-) -> "CheckOutcome":
-    """Answer ``check`` from ``sessions``' verdict memo, or solve and store it.
+) -> "CheckOutcome | None":
+    """Answer ``check`` without a solver, or ``None`` if it must be solved.
 
-    This is the one discharge path of every backend.  ``run_deadline`` is
-    the run's absolute ``time.monotonic()`` wall budget: once it has passed
-    the check is skipped as UNKNOWN/``wall-budget``, and before that it
-    tightens ``deadline_s``.  A memo hit builds no term and creates no
-    session; it carries zeroed solver stats, so time and effort sums count
-    real work only.  The fault hook fires once per check either way, and a
-    hit whose deadline has already expired is UNKNOWN/``timeout``, just as
-    the solver answers when it samples an expired deadline on entry.
-    UNKNOWN answers are never stored: they depend on budgets, not on the
-    query.
+    ``key`` is the check's :func:`verdict_key`.  ``run_deadline`` is the
+    run's absolute ``time.monotonic()`` wall budget: once it has passed the
+    check is skipped as UNKNOWN/``wall-budget`` whatever the memo holds.
+    Otherwise a memo hit builds no term and creates no session; it carries
+    zeroed solver stats, so time and effort sums count real work only.  The
+    fault hook fires once for a hit, as it does inside :meth:`LocalCheck.
+    run` for a solved check, and a hit whose deadline has already expired
+    is UNKNOWN/``timeout``, just as the solver answers when it samples an
+    expired deadline on entry.
     """
     if run_deadline is not None:
         remaining = run_deadline - time.monotonic()
         if remaining <= 0.0:
             return skipped_outcome(check, "wall-budget")
         deadline_s = remaining if deadline_s is None else min(deadline_s, remaining)
-    key = verdict_key(check, config, universe, ghosts)
     known: CheckOutcome | None = sessions.recall(key)
     if known is None:
-        session = sessions.get(check_owner(check))
-        prepare_session(session, universe)
-        outcome = check.run(
-            config, universe, ghosts, conflict_budget,
-            session=session, deadline_s=deadline_s,
-        )
-        if not outcome.unknown:
-            sessions.remember(key, outcome)
-        return outcome
+        return None
     deadline_abs = None if deadline_s is None else time.monotonic() + deadline_s
     faults.on_check_start(check, deadline_abs)
     if deadline_abs is not None and time.monotonic() >= deadline_abs:
@@ -429,12 +418,59 @@ def discharge(
             unknown=True,
             unknown_reason="timeout",
         )
-    failure = known.failure
+    return rebind(known, check, SolverStats())
+
+
+def rebind(outcome: CheckOutcome, check: LocalCheck, stats: SolverStats) -> CheckOutcome:
+    """``outcome``'s answer, owned by ``check``.
+
+    The witness answers the shared query; the blame is this check's.  Also
+    used for outcomes that come back from a worker process, whose ``check``
+    is an unpickled copy rather than the caller's object.
+    """
+    failure = outcome.failure
     if failure is not None:
-        # The witness answers the shared query; the blame is this check's.
         failure = replace(failure, check=check)
     return CheckOutcome(
-        check=check, passed=known.passed, stats=SolverStats(), failure=failure
+        check=check,
+        passed=outcome.passed,
+        stats=stats,
+        failure=failure,
+        unknown=outcome.unknown,
+        unknown_reason=outcome.unknown_reason,
+    )
+
+
+def solve(
+    check: LocalCheck,
+    sessions: "smt.SessionPool",
+    config: NetworkConfig,
+    universe: AttributeUniverse,
+    ghosts: tuple[GhostAttribute, ...] = (),
+    conflict_budget: int | None = None,
+    deadline_s: float | None = None,
+    run_deadline: float | None = None,
+) -> "CheckOutcome":
+    """Solve ``check`` in its owner's session of ``sessions``.
+
+    This is what every backend runs for each check it is handed: the
+    scheduler has already answered repeats from the verdict memo, so a
+    backend sees only distinct misses.  ``run_deadline`` is the run's
+    absolute ``time.monotonic()`` wall budget: once it has passed the check
+    is skipped as UNKNOWN/``wall-budget``, and before that it tightens
+    ``deadline_s``.  The owner's session is created and prepared on first
+    use.
+    """
+    if run_deadline is not None:
+        remaining = run_deadline - time.monotonic()
+        if remaining <= 0.0:
+            return skipped_outcome(check, "wall-budget")
+        deadline_s = remaining if deadline_s is None else min(deadline_s, remaining)
+    session = sessions.get(check_owner(check))
+    prepare_session(session, universe)
+    return check.run(
+        config, universe, ghosts, conflict_budget,
+        session=session, deadline_s=deadline_s,
     )
 
 
@@ -453,6 +489,9 @@ def _merge_stats(a: SolverStats, b: SolverStats) -> SolverStats:
 # ---------------------------------------------------------------------------
 
 
+_edge_order = attrgetter("src", "dst")
+
+
 def generate_safety_checks(
     config: NetworkConfig,
     invariants,
@@ -469,12 +508,13 @@ def generate_safety_checks(
     """
     checks: list[LocalCheck] = []
     topo = config.topology
-    if owners is None:
-        edges = sorted(topo.edges)
-    else:
-        edges = sorted(
-            e for e in topo.edges if e.src in owners or e.dst in owners
-        )
+    # Edges order by (src, dst); a tuple key sorts the same without a
+    # dataclass __lt__ call per comparison.
+    edges = sorted(
+        topo.edges if owners is None
+        else (e for e in topo.edges if e.src in owners or e.dst in owners),
+        key=_edge_order,
+    )
     for edge in edges:
         if topo.is_router(edge.dst) and (owners is None or edge.dst in owners):
             route_map = config.import_map(edge)
@@ -492,7 +532,9 @@ def generate_safety_checks(
                 )
             )
         if topo.is_router(edge.src) and (owners is None or edge.src in owners):
-            route_map = config.export_map(edge)
+            # One lookup serves both the export map and the originated routes.
+            sender = config.neighbor_config(edge.src, edge.dst)
+            route_map = None if sender is None else sender.export_map
             checks.append(
                 LocalCheck(
                     kind=CheckKind.EXPORT,
@@ -506,7 +548,7 @@ def generate_safety_checks(
                     ),
                 )
             )
-            if config.originate(edge):
+            if sender is not None and sender.originated:
                 checks.append(
                     LocalCheck(
                         kind=CheckKind.ORIGINATE,

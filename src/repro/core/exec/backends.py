@@ -1,15 +1,18 @@
-"""Execution backends: how one batch of check groups actually runs.
+"""Execution backends: how the distinct misses of one batch actually run.
 
-A :class:`Backend` turns a :class:`BatchRequest` — the flattened checks
-of the groups a :class:`~repro.core.exec.scheduler.Scheduler` round found
-ready — into outcomes, in request order.  Two strategies exist:
+A :class:`Backend` turns a :class:`BatchRequest` into outcomes, in request
+order.  By the time a request reaches a backend the
+:class:`~repro.core.exec.scheduler.Scheduler` has answered every repeated
+check from the verdict memo and kept one representative per distinct
+query, so a backend solves every check it is handed, through
+:func:`repro.core.checks.solve`.  Two strategies exist:
 
-* :class:`SerialBackend` — in-process, through one
-  :class:`~repro.smt.solver.SessionPool` (verdict memo, then one shared
-  :class:`~repro.smt.solver.CheckSession` per owner router).  This is the
-  path the process strategy degrades to.
+* :class:`SerialBackend` — in-process, one shared
+  :class:`~repro.smt.solver.CheckSession` per owner router, drawn from a
+  :class:`~repro.smt.solver.SessionPool`.  This is the path the process
+  strategy degrades to.
 * :class:`ProcessBackend` — the paper's deployment model: checks chunked
-  by owner router and discharged by worker *processes*.  Wraps either a
+  by owner router and solved by worker *processes*.  Wraps either a
   persistent :class:`~repro.core.exec.pool.WorkerPool` (sessions live in
   the workers across calls) or the one-shot pool.
 
@@ -23,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.checks import CheckOutcome, LocalCheck, discharge
+from repro.core.checks import CheckOutcome, LocalCheck, solve
 from repro.core.exec.plan import CheckGroup
 from repro.core.exec.pool import WorkerPool, run_checks_in_processes
 from repro.smt.solver import SessionPool
@@ -39,8 +42,10 @@ if TYPE_CHECKING:
 class BatchRequest:
     """One scheduler dispatch: the ready groups, flattened, plus context.
 
-    ``checks`` is the concatenation of ``groups``' checks in group order;
-    a backend returns outcomes positionally aligned with it.
+    ``checks`` starts as the concatenation of ``groups``' checks in group
+    order; the scheduler hands a backend a copy holding only the distinct
+    misses among them.  A backend returns outcomes positionally aligned
+    with ``checks``.
     """
 
     groups: tuple[CheckGroup, ...]
@@ -76,11 +81,9 @@ class Backend(Protocol):
 
 
 class SerialBackend:
-    """In-process execution through one :class:`SessionPool`.
+    """In-process execution in the owner sessions of one :class:`SessionPool`.
 
-    Each check goes through :func:`repro.core.checks.discharge`: the pool's
-    verdict memo first, then the owner's session on a miss.  Sessions and
-    verdicts persist on the pool across batches.
+    Sessions persist on the pool across batches.
     """
 
     name = "serial"
@@ -90,7 +93,7 @@ class SerialBackend:
 
     def run(self, request: BatchRequest) -> list[CheckOutcome]:
         return [
-            discharge(
+            solve(
                 check,
                 self.sessions,
                 request.config,

@@ -5,33 +5,32 @@ per device; this module is the reproduction of that execution model.  The
 driver chunks a check list by owner router (:func:`repro.core.checks.
 check_owner`), ships the immutable problem context — configuration,
 attribute universe, ghosts, conflict budget — to each worker exactly once,
-and discharges every chunk through the worker's own
-:class:`repro.smt.SessionPool` (:func:`repro.core.checks.discharge`): a
-query the worker has already answered is served from the pool's verdict
-memo, and a new one is solved in a per-owner :class:`repro.smt.
-CheckSession` so the shared encoding stays hot.  Outcomes (including
-counterexamples) are plain picklable dataclasses and stream back tagged
-with their original index, so callers see results in input order
-regardless of scheduling.
+and solves every chunk in one :class:`repro.smt.CheckSession` per owner
+(:func:`repro.core.checks.solve`) so the shared encoding stays hot.
+Workers keep no verdict memo: the :class:`~repro.core.exec.scheduler.
+Scheduler` answers repeated checks in the parent and ships one
+representative per distinct query, so every check that reaches a worker
+is new to it.  Outcomes (including counterexamples) are plain picklable
+dataclasses and stream back tagged with their original index, so callers
+see results in input order regardless of scheduling.
 
 Two execution models share that chunking:
 
 * :func:`run_checks_in_processes` — a one-shot ``ProcessPoolExecutor``
-  whose workers die with the call; each worker's pool lives for the call.
+  whose workers die with the call; each worker's sessions live for the
+  call.
 * :class:`WorkerPool` — *persistent* worker processes that survive across
   ``run_checks`` calls.  Each worker keeps an owner-keyed
-  :class:`repro.smt.SessionPool` for its whole life and caches every
-  problem context it has ever been shipped, and the parent routes each
-  owner's chunks to a fixed worker (size-aware affinity: unseen owners are
-  assigned largest-first to the least-loaded worker, weighted by their
-  check counts, and then stay pinned so their sessions keep paying off),
-  so a repeated invocation — incremental re-verification, a multi-family
-  WAN sweep, the liveness sub-proof loop — re-solves against the clause
-  databases earlier calls already built instead of re-encoding from
-  scratch.  This is the process-backend analogue of passing one
-  ``SessionPool`` through the serial path; ``stats()`` reports the
-  resulting owner→worker load balance, and ``memo_hits`` sums the
-  verdict-memo hits the workers report with each chunk.
+  :class:`repro.smt.SessionPool` of sessions for its whole life and caches
+  every problem context it has ever been shipped, and the parent routes
+  each owner's chunks to a fixed worker (size-aware affinity: unseen
+  owners are assigned largest-first to the least-loaded worker, weighted
+  by their check counts, and then stay pinned so their sessions keep
+  paying off), so a repeated invocation — incremental re-verification, a
+  multi-family WAN sweep, the liveness sub-proof loop — solves against the
+  clause databases earlier calls already built instead of re-encoding
+  from scratch.  ``stats()`` reports the resulting owner→worker load
+  balance.
 
 Process pools are not universally available (sandboxes without semaphores,
 restricted spawn semantics); both models degrade gracefully — ``None`` is
@@ -56,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.checks import check_owner, discharge, skipped_outcome
+from repro.core.checks import check_owner, skipped_outcome, solve
 from repro.lang.transfer import set_transfer_cache_enabled, transfer_cache_enabled
 from repro.smt.solver import SessionPool
 from repro.testing import faults
@@ -70,8 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 # Per-worker problem context, installed once by the pool initializer so the
 # (comparatively large) config/universe payload is not re-pickled per task.
-# Its last element is the worker's SessionPool: sessions and the verdict
-# memo live as long as the worker, across the chunks it is handed.
+# Its last element is the worker's SessionPool: its owner sessions live as
+# long as the worker, across the chunks it is handed.
 _WORKER_CONTEXT: tuple | None = None
 
 
@@ -94,7 +93,7 @@ def _init_worker(
     set_transfer_cache_enabled(cache_enabled)
 
 
-def _discharge_chunk(
+def _solve_chunk(
     sessions: SessionPool,
     indexed_checks: "Iterable[tuple[int, LocalCheck]]",
     config: "NetworkConfig",
@@ -104,11 +103,11 @@ def _discharge_chunk(
     deadline_s: float | None,
     run_deadline: float | None = None,
 ) -> list[tuple[int, "CheckOutcome"]]:
-    """Discharge one chunk's checks through ``sessions``, keeping indexes."""
+    """Solve one chunk's checks in ``sessions``, keeping indexes."""
     return [
         (
             index,
-            discharge(
+            solve(
                 check, sessions, config, universe, ghosts, conflict_budget,
                 deadline_s=deadline_s, run_deadline=run_deadline,
             ),
@@ -120,10 +119,10 @@ def _discharge_chunk(
 def _run_chunk(
     indexed_checks: list[tuple[int, "LocalCheck"]],
 ) -> list[tuple[int, "CheckOutcome"]]:
-    """Discharge one owner's checks through this worker's session pool."""
+    """Solve one owner's checks in this worker's session pool."""
     assert _WORKER_CONTEXT is not None, "worker initializer did not run"
     config, universe, ghosts, conflict_budget, deadline_s, sessions = _WORKER_CONTEXT
-    return _discharge_chunk(
+    return _solve_chunk(
         sessions, indexed_checks, config, universe, ghosts, conflict_budget, deadline_s
     )
 
@@ -246,18 +245,16 @@ def _persistent_worker_main(
             set_transfer_cache_enabled(cache_enabled)
             owner = check_owner(indexed_checks[0][1])
             vars_before, clauses_before = _encoding(sessions, owner)
-            hits_before = sessions.memo_hits
             # ``run_deadline`` is absolute CLOCK_MONOTONIC, which is
             # system-wide on Linux, so the parent's timestamp is directly
             # comparable here.
-            pairs = _discharge_chunk(
+            pairs = _solve_chunk(
                 sessions, indexed_checks, config, universe, ghosts,
                 conflict_budget, deadline_s, run_deadline,
             )
             vars_after, clauses_after = _encoding(sessions, owner)
             grew = (vars_after - vars_before, clauses_after - clauses_before)
-            hits = sessions.memo_hits - hits_before
-            reply = (run_id, chunk_index, "ok", owner, pairs, grew, hits)
+            reply = (run_id, chunk_index, "ok", owner, pairs, grew)
         except Exception as exc:  # genuine check failure: ship it back
             reply = (run_id, chunk_index, "error", exc)
         try:
@@ -295,7 +292,9 @@ class WorkerPool:
       :class:`repro.smt.SessionPool`, so re-solving a chunk adds zero
       encoding (``last_encoding_growth`` is the witness).
 
-    ``run`` returns outcomes in input order, or ``None`` when the pool
+    ``run`` solves every check it is handed; answering repeats from the
+    verdict memo is the scheduler's job, before it calls ``run``.  It
+    returns outcomes in input order, or ``None`` when the pool
     machinery is unavailable or broke beyond repair (no semaphore support,
     unpicklable payloads) — the caller then falls back to the serial path,
     which computes identical outcomes.  Genuine exceptions raised by a
@@ -353,7 +352,6 @@ class WorkerPool:
         # Reuse telemetry (tests and benchmarks read these).
         self.contexts_shipped = 0
         self.chunks_run = 0
-        self.memo_hits = 0  # summed from chunk replies
         self.last_encoding_growth: dict[object, tuple[int, int]] = {}
         # Degradation telemetry (see stats()).
         self.worker_respawns = 0
@@ -546,7 +544,7 @@ class WorkerPool:
         deadline_s: float | None,
         run_deadline: float | None,
     ) -> None:
-        """Discharge chunks in-parent (quarantined owners, lost causes).
+        """Solve chunks in-parent (quarantined owners, lost causes).
 
         Sessions come from a parent-side owner-keyed pool that persists
         across runs, so quarantined owners keep their encoding reuse; the
@@ -557,7 +555,7 @@ class WorkerPool:
             self._parent_sessions = SessionPool()
         for chunk_index in chunk_indices:
             todo = [(i, check) for i, check in chunks[chunk_index] if outcomes[i] is None]
-            for index, outcome in _discharge_chunk(
+            for index, outcome in _solve_chunk(
                 self._parent_sessions, todo, config, universe, ghosts,
                 conflict_budget, deadline_s, run_deadline,
             ):
@@ -684,9 +682,6 @@ class WorkerPool:
             "contexts_shipped": self.contexts_shipped,
             "chunks_run": self.chunks_run,
             "learnts_seeded": 0,  # no learnt clauses ship; lybench/counters.py reads it
-            "memo_hits": self.memo_hits + (
-                0 if self._parent_sessions is None else self._parent_sessions.memo_hits
-            ),
             "serial_fallbacks": self.serial_fallbacks,
             "last_fallback_reason": self.last_fallback_reason,
             "worker_respawns": self.worker_respawns,
@@ -821,10 +816,9 @@ class WorkerPool:
                 return ("machinery", None)
             if status == "error":
                 return ("error", rest[0])
-            owner, pairs, grew, hits = rest
+            owner, pairs, grew = rest
             for index, outcome in pairs:
                 outcomes[index] = outcome
-            self.memo_hits += hits
             old = growth.get(owner, (0, 0))
             growth[owner] = (old[0] + grew[0], old[1] + grew[1])
             pending.discard(chunk_index)

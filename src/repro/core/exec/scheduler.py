@@ -6,6 +6,11 @@
 against an :class:`~repro.core.exec.context.ExecutionContext`.  It owns
 everything the four pre-refactor dispatch sites each re-implemented:
 
+* **the verdict memo** — every check of a batch is looked up in the
+  context's :class:`~repro.smt.solver.SessionPool` before any backend
+  sees it; repeats are answered in this process, and only one
+  representative per distinct miss is solved (see :meth:`Scheduler.
+  _dispatch`), so no backend keeps a memo of its own;
 * **strategy selection and degradation** — persistent worker pool, then
   the one-shot process pool, then the serial session path,
   recording every fallback on the :class:`DegradationReport` (and
@@ -25,10 +30,11 @@ everything the four pre-refactor dispatch sites each re-implemented:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.checks import CheckOutcome
+from repro.core.checks import CheckOutcome, rebind, recall, verdict_key
 from repro.core.exec.backends import BatchRequest, ProcessBackend, SerialBackend
 from repro.core.exec.context import ExecutionContext, resolve_jobs
 from repro.core.exec.plan import CheckGroup, CheckPlan, GroupKey
@@ -177,6 +183,76 @@ class Scheduler:
     def _dispatch(
         self, batch: BatchRequest, degradation: "DegradationReport | None"
     ) -> list[CheckOutcome]:
+        """Answer a batch from the verdict memo; solve each distinct miss once.
+
+        Every check's :func:`~repro.core.checks.verdict_key` is computed
+        here, once.  A key the context's :class:`SessionPool` already holds
+        is answered in this process (:func:`~repro.core.checks.recall`).
+        The misses collapse to one representative per key, and only those
+        reach a backend; their decided outcomes are remembered, which turns
+        the rest of the batch into hits.  A duplicate whose representative
+        came back UNKNOWN is not answered from it: UNKNOWN depends on
+        budgets, not on the query, so such duplicates are solved themselves
+        in a second, undeduplicated round.
+        """
+        checks = batch.checks
+        if not checks:
+            return []
+        sessions = self.context.sessions
+        outcomes: list[CheckOutcome | None] = [None] * len(checks)
+        # Keys are kept per distinct miss only, and repeats as machine ints,
+        # so a batch of tens of thousands of repeats stays small.
+        representatives: dict[tuple, int] = {}
+        duplicates: dict[tuple, array[int]] = {}
+        for index, check in enumerate(checks):
+            key = verdict_key(check, batch.config, batch.universe, batch.ghosts)
+            answer = recall(check, key, sessions, batch.deadline_s, batch.run_deadline)
+            if answer is not None:
+                outcomes[index] = answer
+            elif representatives.setdefault(key, index) != index:
+                duplicates.setdefault(key, array("q")).append(index)
+        self._solve(
+            batch, [(index, key) for key, index in representatives.items()],
+            outcomes, degradation,
+        )
+        unanswered = []
+        for key, indexes in duplicates.items():
+            for index in indexes:
+                answer = recall(
+                    checks[index], key, sessions, batch.deadline_s, batch.run_deadline
+                )
+                if answer is None:
+                    unanswered.append((index, key))
+                else:
+                    outcomes[index] = answer
+        self._solve(batch, unanswered, outcomes, degradation)
+        return outcomes  # type: ignore[return-value]
+
+    def _solve(
+        self,
+        batch: BatchRequest,
+        misses: list[tuple[int, tuple]],
+        outcomes: "list[CheckOutcome | None]",
+        degradation: "DegradationReport | None",
+    ) -> None:
+        """Solve each ``(index, key)`` miss on a backend; remember decided ones."""
+        if not misses:
+            return
+        checks = batch.checks
+        solved = self._run(
+            replace(batch, checks=[checks[index] for index, __ in misses]), degradation
+        )
+        for (index, key), outcome in zip(misses, solved):
+            check = checks[index]
+            if outcome.check is not check:  # a worker's unpickled copy
+                outcome = rebind(outcome, check, outcome.stats)
+            outcomes[index] = outcome
+            if not outcome.unknown:
+                self.context.sessions.remember(key, outcome)
+
+    def _run(
+        self, batch: BatchRequest, degradation: "DegradationReport | None"
+    ) -> list[CheckOutcome]:
         """Run one batch through the strategy chain, degrading in order.
 
         The chain and its quirks are load-bearing compatibility: a failed
@@ -186,8 +262,6 @@ class Scheduler:
         cannot return partial results); everything lands on the serial path.
         """
         context = self.context
-        if not batch.checks:
-            return []
         backend = context.resolved_backend()
         jobs = resolve_jobs(context.parallel)
         workers = (

@@ -144,9 +144,11 @@ def run_checks(
       analogue of ``sessions``.  If the pool machinery is unavailable the
       call degrades through the remaining strategies unchanged.
 
-    The one-shot process path (``parallel`` > 1 without ``workers``) keeps
-    per-call workers, so a supplied ``sessions`` pool is simply unused
-    there (outcomes are identical either way).
+    Whatever the backend, ``sessions``' verdict memo answers every repeated
+    check before any backend runs.  The one-shot process path
+    (``parallel`` > 1 without ``workers``) keeps per-call workers, so a
+    supplied pool's owner sessions are unused there (outcomes are
+    identical either way).
 
     Fault-tolerance knobs: ``deadline_s`` bounds each check's solve in
     wall-clock seconds; ``run_deadline`` (absolute ``time.monotonic()``)

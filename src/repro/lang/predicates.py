@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro import smt
 from repro.bgp.prefix import Prefix, PrefixRange
 from repro.bgp.route import Community, Route
+from repro.hashing import cache_hash
 from repro.lang.symroute import ADDR_WIDTH, LEN_WIDTH, SymbolicRoute
 from repro.smt.terms import Term, register_intern_dependent
 
@@ -119,6 +120,7 @@ class Predicate:
         return Implies(self, other)
 
 
+@cache_hash
 @dataclass(frozen=True)
 class TruePred(Predicate):
     """All routes (the unconstrained external-edge invariant)."""
@@ -133,6 +135,7 @@ class TruePred(Predicate):
         return "True"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class FalsePred(Predicate):
     """No routes (a location no route may ever reach)."""
@@ -147,6 +150,7 @@ class FalsePred(Predicate):
         return "False"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class HasCommunity(Predicate):
     """Routes tagged with a community: ``c in Comm(r)``."""
@@ -163,6 +167,7 @@ class HasCommunity(Predicate):
         return f"{self.community} in Comm(r)"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class PrefixIn(Predicate):
     """Routes whose prefix matches some entry of a prefix list."""
@@ -192,6 +197,7 @@ class PrefixIn(Predicate):
         return f"Prefix(r) in {{{', '.join(str(r) for r in self.ranges)}}}"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class GhostIs(Predicate):
     """Routes whose ghost attribute has the given value."""
@@ -210,6 +216,7 @@ class GhostIs(Predicate):
         return f"{self.name}(r)" if self.value else f"not {self.name}(r)"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class AsPathHas(Predicate):
     """Routes whose AS path mentions an ASN."""
@@ -226,6 +233,7 @@ class AsPathHas(Predicate):
         return f"{self.asn} in ASPath(r)"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class LocalPrefIn(Predicate):
     """Routes with local preference in [low, high]."""
@@ -248,6 +256,7 @@ class LocalPrefIn(Predicate):
         return f"LocalPref(r) in [{self.low}, {self.high}]"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class MedIn(Predicate):
     """Routes with MED in [low, high]."""
@@ -270,6 +279,7 @@ class MedIn(Predicate):
         return f"MED(r) in [{self.low}, {self.high}]"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class AsPathLenIn(Predicate):
     """Routes whose AS-path length lies in [low, high]."""
@@ -292,6 +302,7 @@ class AsPathLenIn(Predicate):
         return f"|ASPath(r)| in [{self.low}, {self.high}]"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class OriginIs(Predicate):
     """Routes with the given BGP origin code."""
@@ -310,6 +321,7 @@ class OriginIs(Predicate):
         return f"Origin(r) = {self.origin}"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class NextHopIn(Predicate):
     """Routes whose next hop falls in any of the given prefixes."""
@@ -336,6 +348,7 @@ class NextHopIn(Predicate):
         return f"NextHop(r) in {{{', '.join(str(p) for p in self.prefixes)}}}"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class Not(Predicate):
     inner: Predicate
@@ -350,6 +363,7 @@ class Not(Predicate):
         return f"not ({self.inner!r})"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class AllOf(Predicate):
     inners: tuple[Predicate, ...]
@@ -368,6 +382,7 @@ class AllOf(Predicate):
         return " and ".join(f"({p!r})" for p in self.inners) or "True"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class AnyOf(Predicate):
     inners: tuple[Predicate, ...]
@@ -386,6 +401,7 @@ class AnyOf(Predicate):
         return " or ".join(f"({p!r})" for p in self.inners) or "False"
 
 
+@cache_hash
 @dataclass(frozen=True)
 class Implies(Predicate):
     antecedent: Predicate

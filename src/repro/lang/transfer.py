@@ -37,9 +37,9 @@ output depends on — never the edge or router name itself:
   checks, while chained liveness inputs key by their own structure.
 
 Everything but the input route is :func:`transfer_key` (and, for
-originated routes, :func:`originate_key`).  The verdict memo of
-:func:`repro.core.checks.discharge` keys on the same functions, so the
-two memos cannot disagree about what a transfer depends on.
+originated routes, :func:`originate_key`).  The verdict memo's key,
+:func:`repro.core.checks.verdict_key`, is built from the same functions,
+so the two memos cannot disagree about what a transfer depends on.
 
 Invalidation: cached values are interned-term graphs, so the caches are
 registered with :func:`repro.smt.terms.register_intern_dependent` and die
@@ -118,11 +118,12 @@ from repro.smt.terms import Term, register_intern_dependent
 TransferCacheStats = TermCacheStats
 
 #: Deliberately unguarded shared state (audited by the repro.analysis
-#: concurrency-discipline checker): both caches memoise *idempotent*
+#: concurrency-discipline checker): the caches memoise *idempotent*
 #: values — terms are interned, so racing writers compute identical
 #: entries and a lost update only costs a recompute, never corruption.
-#: Single dict item writes are atomic under the GIL.
-SHARED_STATE = ("_transfer_cache", "_originate_cache")
+#: Single dict item writes are atomic under the GIL, and so is rebinding
+#: ``_ghost_keys``, which swaps its ghost tuple and table as one pair.
+SHARED_STATE = ("_transfer_cache", "_originate_cache", "_ghost_keys")
 
 _cache_enabled: bool = True
 _transfer_cache: dict[tuple, tuple[Term, SymbolicRoute]] = {}
@@ -199,22 +200,52 @@ def _route_key(route: SymbolicRoute) -> int:
     return route.instance_token()
 
 
+#: The ghost-update keys of one ghost set, per direction: the last ghost
+#: tuple seen, paired with its tables.  Holding the tuple keeps its id
+#: from being reused while the tables answer for it.  A run passes one
+#: tuple for every check, and ghosts are frozen, so the ghosts are indexed
+#: once instead of scanned on every check.
+_ghost_keys: tuple[tuple[GhostAttribute, ...], dict[str, dict[Edge, tuple]]] = (
+    (),
+    {"import": {}, "export": {}},
+)
+
+
 def _ghost_update_key(
     edge: Edge, ghosts: Sequence[GhostAttribute], direction: str
 ) -> tuple:
     """The ghost constants written on this edge, as sorted (name, value) pairs.
 
     Ghost updates commute (each writes its own field), so sorting by name
-    canonicalises without changing the produced route.
+    canonicalises without changing the produced route.  Memoised per
+    ghost tuple (see ``_ghost_keys``); any other sequence may change under
+    one identity, so it is copied, and indexed afresh, on every call.
     """
-    applied = []
-    for ghost in ghosts:
-        update = (
-            ghost.import_update(edge) if direction == "import" else ghost.export_update(edge)
-        )
-        if update is not None:
-            applied.append((ghost.name, update))
-    return tuple(sorted(applied))
+    global _ghost_keys
+    ghosts = tuple(ghosts)
+    owner, tables = _ghost_keys
+    if ghosts is not owner:
+        tables = _index_ghost_updates(ghosts)
+        _ghost_keys = (ghosts, tables)
+    return tables[direction].get(edge, ())
+
+
+def _index_ghost_updates(ghosts: Sequence[GhostAttribute]) -> dict[str, dict[Edge, tuple]]:
+    """Per direction, each updated edge's sorted (name, value) pairs.
+
+    Only edges some ghost writes are listed, so the index is as large as
+    the ghosts' own update tables, not as the topology.
+    """
+    tables: dict[str, dict[Edge, tuple]] = {}
+    for direction in ("import", "export"):
+        applied: dict[Edge, list] = {}
+        for ghost in ghosts:
+            updates = ghost.import_updates if direction == "import" else ghost.export_updates
+            for updated, value in updates.items():
+                if value is not None:
+                    applied.setdefault(updated, []).append((ghost.name, value))
+        tables[direction] = {e: tuple(sorted(pairs)) for e, pairs in applied.items()}
+    return tables
 
 
 def _prepend_asn(config: NetworkConfig, edge: Edge) -> int | None:

@@ -29,8 +29,10 @@ from repro.bgp.policy import (
     RouteMap,
 )
 from repro.bgp.route import Community
+from repro.hashing import cache_hash
 
 
+@cache_hash
 @dataclass(frozen=True)
 class AttributeUniverse:
     """The distinguishable communities, ASNs, and ghost attribute names."""

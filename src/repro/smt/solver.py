@@ -22,8 +22,8 @@ Two entry points share the same bit-blast → Tseitin → CDCL pipeline:
 A :class:`SessionPool` holds one session per owner router, created on
 first use, plus a verdict memo: decided answers keyed by what a check's
 outcome depends on, so a query repeated on many edges is solved once per
-pool (:func:`repro.core.checks.discharge` computes the key and never
-stores UNKNOWN).
+pool (the :class:`repro.core.exec.Scheduler` computes the key with
+:func:`repro.core.checks.verdict_key` and never stores UNKNOWN).
 
 ``Model`` evaluates *original* terms (including bit-vectors) against the
 SAT assignment so callers never see the bit-level encoding.  ``prove``
@@ -515,16 +515,20 @@ class SessionPool:
     universe) to its decided outcome, so each distinct query is solved once
     per pool however many edges repeat it.  It is keyed by content, not by
     owner, so ``drop`` leaves it alone and ``clear`` empties it.  The pool
-    treats keys and values as opaque; :func:`repro.core.checks.discharge`
+    treats keys and values as opaque; the :class:`repro.core.exec.
+    Scheduler` consults it for every check before any backend runs and
     never stores UNKNOWN.  The memo is process-local and never pickled.
 
     Pools live wherever reuse pays: a :class:`repro.core.workspace.
     Workspace` keeps one across ``reverify`` calls, the Table-4 sweeps
-    hoist one above their property-family loops, ``verify_liveness``
+    hoist one above their property-family loops, and ``verify_liveness``
     shares one across propagation, implication, and every no-interference
-    sub-proof, and each :class:`repro.core.exec.WorkerPool` worker process
-    holds its own pool for the checks routed to it.  Sessions and verdicts
-    are never shipped between processes or persisted: only outcomes are.
+    sub-proof.  That pool, in the parent process, holds the one verdict
+    memo of a run: with the process backend the parent answers repeats
+    and ships only distinct misses, which worker processes solve in
+    session-only pools of their own (whose memos stay empty).  Sessions
+    and verdicts are never shipped between processes or persisted: only
+    outcomes are.
     """
 
     def __init__(self) -> None:

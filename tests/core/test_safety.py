@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.prefix import Prefix
+from repro.bgp.route import Route
 from repro.bgp.topology import Edge
 from repro.core.checks import CheckKind, generate_safety_checks
 from repro.core.engine import Lightyear
-from repro.core.properties import SafetyProperty
+from repro.core.properties import InvariantMap, SafetyProperty
 from repro.core.safety import verify_safety
-from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not
+from repro.lang.predicates import GhostIs, HasCommunity, Implies, Not, TruePred
 from repro.workloads.figure1 import TRANSIT_COMMUNITY, build_figure1
+from repro.workloads.randomnet import build_random_network
+from repro.workloads.wan import build_wan
 
 from tests.core.conftest import no_transit_invariants, no_transit_property
 
@@ -165,3 +169,53 @@ def test_ghost_free_safety_property(fig1_config):
     inv.set_edge("R2", "ISP2", Not(HasCommunity(TRANSIT_COMMUNITY)))
     report = verify_safety(fig1_config, prop, inv)
     assert report.passed, "\n".join(f.explain() for f in report.failures)
+
+
+def _order_by_sorted_edges(config, owners=None):
+    """(kind, edge, route-map name) in the order a ``sorted(topo.edges)`` loop
+    generates checks: import, export, then originate per edge."""
+    topo = config.topology
+    order = []
+    for edge in sorted(topo.edges):
+        if topo.is_router(edge.dst) and (owners is None or edge.dst in owners):
+            route_map = config.import_map(edge)
+            order.append((CheckKind.IMPORT, edge, route_map and route_map.name))
+        if topo.is_router(edge.src) and (owners is None or edge.src in owners):
+            route_map = config.export_map(edge)
+            order.append((CheckKind.EXPORT, edge, route_map and route_map.name))
+            if config.originate(edge):
+                order.append((CheckKind.ORIGINATE, edge, None))
+    if owners is None:
+        order.append((CheckKind.IMPLICATION, None, None))
+    return order
+
+
+def _figure1_originating():
+    config = build_figure1()
+    config.routers["R1"].neighbors["ISP1"].originated = (
+        Route(prefix=Prefix.parse("8.8.0.0/16")),
+    )
+    return config
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _figure1_originating,
+        lambda: build_wan(regions=2, routers_per_region=3).config,
+        lambda: build_random_network(12, model="gnp", seed=3),
+    ],
+    ids=["figure1", "wan", "random"],
+)
+def test_check_order_follows_sorted_edges(build):
+    config = build()
+    invariants = InvariantMap(config.topology, default=TruePred())
+    location = sorted(config.topology.edges)[0]
+    owners = set(sorted(config.topology.routers)[:2])
+    for subset in (None, owners):
+        checks = generate_safety_checks(
+            config, invariants, location, TruePred(), owners=subset
+        )
+        assert [
+            (c.kind, c.edge, c.route_map_name) for c in checks
+        ] == _order_by_sorted_edges(config, subset)

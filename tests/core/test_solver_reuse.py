@@ -14,21 +14,30 @@ life, across checks and across properties.  Three layers are pinned here:
   safety configs, fullmesh liveness, and the WAN families whose checks
   actually conflict and learn.  Reuse is a performance policy; it must
   never change an answer;
-* **The verdict memo** — the pool's memo (see
-  :func:`repro.core.checks.discharge`) against the same hermetic
-  reference on networks with planted bugs: same verdicts, same failing
-  checks, and every failure answered from the memo still names its own
-  check and router and carries a genuine witness.
+* **The verdict memo** — the pool's memo (consulted by the scheduler
+  before any backend runs) against the same hermetic reference on
+  networks with planted bugs, on the serial and the process backend:
+  same verdicts, same failing checks, and every failure answered from the
+  memo, or shipped back from a worker, still names its own check object
+  and router and carries a genuine witness.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.bgp.policy import DeleteCommunity, RouteMap, RouteMapClause
-from repro.core.checks import CheckKind, check_owner, verdict_key
+from repro.core.checks import (
+    CheckKind,
+    check_owner,
+    generate_safety_checks,
+    verdict_key,
+)
+from repro.core.exec import WorkerPool
 from repro.core.liveness import liveness_universe, verify_liveness
-from repro.core.safety import build_universe, verify_safety
+from repro.core.safety import build_universe, run_checks, verify_safety
 from repro.smt.sat import SatSolver
 from repro.smt.solver import SessionPool
 from repro.workloads.fullmesh import (
@@ -267,16 +276,34 @@ def _assert_memo_matches_hermetic(reports, pool, config, universes, ghosts):
     assert pool.stats()["memo_hits"] > 0
 
 
-@pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
-def test_memo_matches_hermetic_on_planted_strip_bug(model):
+@contextmanager
+def _backend(name):
+    """Run keyword arguments for ``name``: serial, or a two-worker pool.
+
+    The process variant checks on exit that the workers really ran (and
+    skips where process pools are unavailable).
+    """
+    if name == "serial":
+        yield {}
+        return
+    with WorkerPool(2) as workers:
+        yield {"workers": workers, "backend": "process"}
+        if workers.chunks_run == 0:
+            pytest.skip("process pools unavailable in this environment")
+        assert workers.serial_fallbacks == 0
+
+
+def _planted_strip_case(model, backend):
     config = build_random_network(8, model=model, seed=0)
     planted = _plant_strip(config)
     ghost, prop, invariants = e1_no_transit_problem(config)
     universe = build_universe(config, invariants, [prop.predicate], (ghost,))
     pool = SessionPool()
-    report = verify_safety(
-        config, prop, invariants, ghosts=(ghost,), universe=universe, sessions=pool,
-    )
+    with _backend(backend) as run:
+        report = verify_safety(
+            config, prop, invariants, ghosts=(ghost,), universe=universe,
+            sessions=pool, **run,
+        )
     assert not report.passed
     _assert_memo_matches_hermetic([report], pool, config, [universe], [(ghost,)])
     # Two edges, two owners, one failing query: one entry answers both.
@@ -292,9 +319,28 @@ def test_memo_matches_hermetic_on_planted_strip_bug(model):
     assert {o.failure.blamed_policy for o in strip_failures} == {
         "route-map 'STRIP-0'", "route-map 'STRIP-1'"
     }
+    # Every outcome belongs to the caller's own check object, including
+    # those a worker process solved and shipped back.
+    checks = generate_safety_checks(config, invariants, prop.location, prop.predicate)
+    with _backend(backend) as run:
+        outcomes = run_checks(
+            checks, config, universe, (ghost,), sessions=SessionPool(), **run
+        )
+    assert all(o.check is c for o, c in zip(outcomes, checks))
+    assert all(o.failure.check is c for o, c in zip(outcomes, checks) if o.failure)
 
 
-def test_memo_matches_hermetic_on_buggy_wan():
+@pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
+def test_memo_matches_hermetic_on_planted_strip_bug(model):
+    _planted_strip_case(model, "serial")
+
+
+@pytest.mark.parametrize("model", ["gnp", "ba", "ring"])
+def test_process_memo_matches_hermetic_on_planted_strip_bug(model):
+    _planted_strip_case(model, "process")
+
+
+def _buggy_wan_case(backend):
     clean = build_wan(regions=2, routers_per_region=3)
     wan = build_wan(
         regions=2,
@@ -304,8 +350,9 @@ def test_memo_matches_hermetic_on_buggy_wan():
         wrong_community_region=1,
     )
     pool = SessionPool()
-    ip_reuse = verify_ip_reuse_safety_problems(wan, sessions=pool)
-    peering = verify_peering_problems(wan, sessions=pool)
+    with _backend(backend) as run:
+        ip_reuse = verify_ip_reuse_safety_problems(wan, sessions=pool, **run)
+        peering = verify_peering_problems(wan, sessions=pool, **run)
     results = ip_reuse + peering
     assert not all(report.passed for __, report in results)
 
@@ -326,3 +373,11 @@ def test_memo_matches_hermetic_on_buggy_wan():
         [r for __, r in results], pool, wan.config, universes,
         [(p.ghost,) for p, __ in results],
     )
+
+
+def test_memo_matches_hermetic_on_buggy_wan():
+    _buggy_wan_case("serial")
+
+
+def test_process_memo_matches_hermetic_on_buggy_wan():
+    _buggy_wan_case("process")

@@ -2,7 +2,10 @@
 
 A :class:`SessionPool` answers a check from its verdict memo when an
 earlier check posed the same query, keyed by
-:func:`repro.core.checks.verdict_key` before any term is built.  Each
+:func:`repro.core.checks.verdict_key` before any term is built.  The
+scheduler consults the memo of the run's pool for every check before any
+backend sees it, so worker processes receive one check per distinct key.
+Each
 key-soundness test below pairs two checks that differ in exactly one
 ingredient of the key and would get a *wrong* answer (or a wrong count)
 from a key that left that ingredient out; the name test is the converse,
@@ -20,11 +23,10 @@ from repro.core.checks import (
     CheckKind,
     LocalCheck,
     check_owner,
-    discharge,
     verdict_key,
 )
 from repro.core.exec import WorkerPool
-from repro.core.safety import verify_safety_family
+from repro.core.safety import build_universe, run_checks, verify_safety_family
 from repro.core.workspace import Workspace
 from repro.lang.ghost import GhostAttribute
 from repro.lang.predicates import AsPathHas, GhostIs, HasCommunity, Not
@@ -57,10 +59,17 @@ def _filter_check(kind: CheckKind, edge: Edge, assumption, goal, config) -> Loca
     )
 
 
+def _through(pool, checks, config, universe, ghosts=(), **kwargs):
+    """Run ``checks`` as one serial batch against ``pool``'s memo."""
+    return run_checks(
+        checks, config, universe, ghosts, backend="serial", sessions=pool, **kwargs
+    )
+
+
 def _pooled_and_hermetic(checks, config, universe, ghosts=()):
-    """Discharge ``checks`` in order through one pool, and each hermetically."""
+    """Run ``checks`` through one pool, and each hermetically."""
     pool = SessionPool()
-    pooled = [discharge(c, pool, config, universe, ghosts) for c in checks]
+    pooled = _through(pool, checks, config, universe, ghosts)
     hermetic = [c.run(config, universe, ghosts) for c in checks]
     return pool, pooled, hermetic
 
@@ -205,10 +214,10 @@ def test_expired_deadline_on_a_hit_is_a_timeout():
         checks[1], config, universe, ()
     )
     pool = SessionPool()
-    assert discharge(checks[0], pool, config, universe).passed
-    late = discharge(checks[1], pool, config, universe, deadline_s=0.0)
+    assert _through(pool, checks[:1], config, universe)[0].passed
+    (late,) = _through(pool, checks[1:], config, universe, deadline_s=0.0)
     assert late.unknown and late.unknown_reason == "timeout"
-    assert discharge(checks[1], pool, config, universe).passed
+    assert _through(pool, checks[1:], config, universe)[0].passed
 
 
 def test_clear_empties_the_memo_and_drop_does_not():
@@ -217,29 +226,36 @@ def test_clear_empties_the_memo_and_drop_does_not():
     check = _filter_check(CheckKind.IMPORT, Edge("R1", "R3"), keep, keep, config)
     universe = AttributeUniverse.from_config(config)
     pool = SessionPool()
-    discharge(check, pool, config, universe)
+    _through(pool, [check], config, universe)
     pool.drop("R3")
-    discharge(check, pool, config, universe)
+    _through(pool, [check], config, universe)
     assert pool.stats()["memo_hits"] == 1
     pool.clear()
     assert pool.stats()["memo_entries"] == 0
-    discharge(check, pool, config, universe)
+    _through(pool, [check], config, universe)
     assert pool.stats()["memo_hits"] == 1
     assert pool.stats()["memo_entries"] == 1
 
 
-def test_worker_pool_sums_memo_hits_from_chunk_replies():
+def test_workers_receive_one_check_per_distinct_verdict_key():
     config = build_full_mesh(6)
     ghost, prop, invariants = e1_no_transit_problem(config)
+    universe = build_universe(config, invariants, [prop.predicate], (ghost,))
     reference = verify_safety_family(config, [prop], invariants, ghosts=(ghost,))
+    pool = SessionPool()
     with WorkerPool(2) as workers:
         report = verify_safety_family(
-            config, [prop], invariants, ghosts=(ghost,), workers=workers,
-            backend="process",
+            config, [prop], invariants, ghosts=(ghost,), universe=universe,
+            sessions=pool, workers=workers, backend="process",
         )
         if workers.chunks_run == 0:
             pytest.skip("process pools unavailable in this environment")
-        hits = workers.stats()["memo_hits"]
+        shipped = sum(workers.stats()["per_worker_weight"])
     assert report.passed == reference.passed
-    # Each owner's chunk repeats its internal imports' query many times.
-    assert 0 < hits < report.num_checks
+    keys = {
+        verdict_key(o.check, config, universe, (ghost,)) for o in report.iter_outcomes()
+    }
+    assert shipped == len(keys) < report.num_checks
+    # Everything else was answered in this process; nothing was solved here.
+    assert pool.stats()["memo_hits"] == report.num_checks - shipped
+    assert pool.checks_discharged == 0

@@ -53,6 +53,7 @@ from repro.lang.transfer import (
     transfer_cache_stats,
     transfer_export,
     transfer_import,
+    transfer_key,
 )
 from repro.smt.terms import clear_intern_cache
 from repro.workloads.randomnet import build_random_network
@@ -285,6 +286,21 @@ def test_edges_with_equal_policy_share_one_cache_entry():
     assert r3 is r4
     stats = transfer_cache_stats()
     assert stats.hits >= 1
+
+
+def test_ghost_update_key_follows_the_ghost_set():
+    """The per-edge ghost-update memo answers for one ghost tuple at a time:
+    alternating between two sets that write different values on the same
+    edge must give each set its own key."""
+    config = build_random_network(4, model="ring", seed=0)
+    edge = Edge("E1", "R1")
+    tagged = (GhostAttribute("G", import_updates={edge: True}),)
+    untagged = (GhostAttribute("G", import_updates={edge: False}),)
+    keys = [
+        transfer_key(config, edge, ghosts, "import")
+        for ghosts in (tagged, untagged, tagged, list(untagged))
+    ]
+    assert keys[0] == keys[2] != keys[1] == keys[3]
 
 
 def test_cache_stats_and_toggle():

@@ -216,6 +216,49 @@ def test_wan_reverify_cold_and_warm_reports_identical(tmp_path, capsys):
     assert any("PASSED" in line for line in reports(warm_out))
 
 
+def test_wan_cache_written_and_read_under_different_hash_seeds(tmp_path):
+    """``str`` hashes are salted per process: a hash cached on a predicate
+    or universe in the writing process must not reach the reading one.  A
+    cache written under one ``PYTHONHASHSEED`` and reverified under another
+    gives the same verdicts as the cold run."""
+    from repro.workloads.wan import build_wan
+
+    wan = build_wan(regions=2, routers_per_region=3)
+    (tmp_path / "base.json").write_text(config_to_json(wan.config))
+    edited = build_wan(regions=2, routers_per_region=3).config
+    _benign_wan_edit(edited)
+    (tmp_path / "edited.json").write_text(config_to_json(edited))
+    (tmp_path / "spec.json").write_text(_wan_spec_json(wan))
+    args = [sys.executable, "-m", "repro.cli", "reverify",
+            str(tmp_path / "base.json"), str(tmp_path / "edited.json"),
+            str(tmp_path / "spec.json"), "--cache", str(tmp_path / "cachedir")]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+
+    def run(seed):
+        done = subprocess.run(
+            args, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    cold, warm = run("1"), run("2")
+    assert "base run skipped" not in cold
+    assert "base run skipped" in warm
+
+    def verdicts(text):
+        return [
+            line.split(" — ")[0] for line in text.splitlines()
+            if "safety at" in line or "reverify: consulted" in line
+        ]
+
+    assert verdicts(warm) == verdicts(cold)
+    assert any("PASSED" in line for line in verdicts(warm))
+
+
 def test_verify_cache_cold_then_warm_consults_nothing(cache_setup, capsys):
     s = cache_setup
     assert main(["verify", s["base"], s["spec"], "--cache", s["cache"]]) == 0
